@@ -45,7 +45,10 @@ def hindex_iteration(
     (True, 1)
     """
     kb = resolve_backend(backend)
-    csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
+    csr = (
+        graph if isinstance(graph, CSRGraph)
+        else CSRGraph.from_graph(graph, backend=kb)
+    )
     n = csr.num_nodes
     offsets = kb.graph_array(csr.offsets)
     targets = kb.graph_array(csr.targets)

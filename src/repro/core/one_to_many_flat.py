@@ -87,8 +87,8 @@ def run_one_to_many_flat(
                 graph, config.num_hosts, policy=config.policy,
                 seed=config.seed,
             )
-        csr = CSRGraph.from_graph(graph)
-    sharded = ShardedCSR(csr, assignment)
+        csr = CSRGraph.from_graph(graph, backend=backend)
+    sharded = ShardedCSR(csr, assignment, backend)
 
     max_rounds = config.max_rounds
     strict = config.strict

@@ -55,6 +55,7 @@ from repro.graph.graph import Graph
 from repro.graph.sharded import ShardedCSR
 from repro.sim.checkpoint import CheckpointPolicy, load_checkpoint
 from repro.sim.faults import FaultPlan
+from repro.sim.kernels import resolve_backend
 from repro.sim.mp_engine import MultiProcessOneToManyEngine
 from repro.sim.tracing import recorders_from_observers
 from repro.telemetry import finish_run_telemetry, run_tracer
@@ -106,6 +107,8 @@ def run_one_to_many_mp(
     # the shard aggregates at each barrier
     recorders = recorders_from_observers(config.observers, "mp")
     tracer = run_tracer(config.telemetry, config.trace_out, lane="coordinator")
+    # the coordinator builds the CSR and the shards on the run's backend
+    backend = resolve_backend(config.backend)
     if isinstance(graph, CSRGraph):
         if assignment is None:
             raise ConfigurationError(
@@ -120,8 +123,8 @@ def run_one_to_many_mp(
                 graph, config.num_hosts, policy=config.policy,
                 seed=config.seed,
             )
-        csr = CSRGraph.from_graph(graph)
-    sharded = ShardedCSR(csr, assignment)
+        csr = CSRGraph.from_graph(graph, backend=backend)
+    sharded = ShardedCSR(csr, assignment, backend)
 
     num_nodes = csr.num_nodes
     workers = assignment.num_hosts

@@ -72,7 +72,7 @@ def run_one_to_one_flat(
         csr = graph
         activation_ids = None
     else:
-        csr = CSRGraph.from_graph(graph)
+        csr = CSRGraph.from_graph(graph, backend=backend)
         # the object engine shuffles pids in process-dict insertion
         # order == graph.nodes() order; replaying the RNG stream
         # bit-exactly requires starting from that same base sequence

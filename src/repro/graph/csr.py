@@ -28,10 +28,13 @@ read it. Mutation workloads stay on :class:`Graph` and convert with
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import GraphError, NodeNotFoundError
 from repro.graph.graph import Graph
+
+if TYPE_CHECKING:
+    from repro.sim.kernels.base import KernelBackend
 
 __all__ = ["CSRGraph"]
 
@@ -92,32 +95,22 @@ class CSRGraph:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_graph(cls, graph: Graph, name: str | None = None) -> "CSRGraph":
-        """Compact a :class:`Graph`; nodes are ordered by ascending id."""
-        node_ids = sorted(graph.nodes())
-        ids = array("q", node_ids)
-        n = len(node_ids)
-        contiguous = n == 0 or (node_ids[0] == 0 and node_ids[-1] == n - 1)
-        index_of = (
-            None if contiguous else {u: i for i, u in enumerate(node_ids)}
-        )
-        offsets = array("q", [0] * (n + 1))
-        for i, u in enumerate(node_ids):
-            offsets[i + 1] = offsets[i] + graph.degree(u)
-        targets = array("q", [0] * offsets[n])
-        cursor = 0
-        for u in node_ids:
-            # contiguous ids map to themselves; otherwise the compaction
-            # map is monotone (ids are ranked ascending), so the graph's
-            # cached sorted tuples stay sorted after mapping — no re-sort
-            if contiguous:
-                nbrs = graph.sorted_neighbors(u, cache=False)
-            else:
-                nbrs = [
-                    index_of[v] for v in graph.sorted_neighbors(u, cache=False)
-                ]
-            targets[cursor:cursor + len(nbrs)] = array("q", nbrs)
-            cursor += len(nbrs)
+    def from_graph(
+        cls,
+        graph: Graph,
+        name: str | None = None,
+        backend: "str | KernelBackend | None" = None,
+    ) -> "CSRGraph":
+        """Compact a :class:`Graph`; nodes are ordered by ascending id.
+
+        ``backend`` names the kernel backend that builds the buffers
+        (default stdlib); every backend builds the same buffers.
+        """
+        from repro.sim.kernels import resolve_backend
+
+        offsets, targets, ids, index_of = resolve_backend(
+            backend
+        ).csr_from_graph(graph)
         csr = cls(offsets, targets, ids, name=graph.name if name is None else name)
         if index_of is not None:
             csr._index_of = index_of
@@ -129,46 +122,30 @@ class CSRGraph:
         edges: Iterable[tuple[int, int]],
         num_nodes: int | None = None,
         name: str = "",
+        backend: "str | KernelBackend | None" = None,
     ) -> "CSRGraph":
         """Build from an edge iterable without a :class:`Graph` detour.
 
         Semantics match :meth:`Graph.from_edges`: self-loops are dropped
         (but still testify that the node exists), duplicate edges
         collapse, and ``num_nodes`` forces ``0..num_nodes-1`` to exist
-        even when isolated.
+        even when isolated. The buffers come from the backend's
+        canonical edges -> CSR kernel, the one the edge-list reader
+        uses.
         """
-        node_set: set[int] = set()
-        pairs: list[tuple[int, int]] = []
+        from repro.sim.kernels import resolve_backend
+
+        us: list[int] = []
+        vs: list[int] = []
         for u, v in edges:
             if not isinstance(u, int) or not isinstance(v, int):
                 raise GraphError(f"node ids must be integers, got ({u!r}, {v!r})")
-            if u == v:
-                node_set.add(u)
-                continue
-            node_set.add(u)
-            node_set.add(v)
-            pairs.append((u, v) if u < v else (v, u))
-        if num_nodes is not None:
-            node_set.update(range(num_nodes))
-        node_ids = sorted(node_set)
-        ids = array("q", node_ids)
-        index_of = {u: i for i, u in enumerate(node_ids)}
-        n = len(node_ids)
-        # both directions, compacted, sorted, deduplicated
-        directed = sorted(
-            {(index_of[u], index_of[v]) for u, v in pairs}
-            | {(index_of[v], index_of[u]) for u, v in pairs}
+            us.append(u)
+            vs.append(v)
+        offsets, targets, ids = resolve_backend(backend).csr_from_pairs(
+            us, vs, num_nodes
         )
-        offsets = array("q", [0] * (n + 1))
-        targets = array("q", [0] * len(directed))
-        for e, (src, dst) in enumerate(directed):
-            offsets[src + 1] += 1
-            targets[e] = dst
-        for i in range(n):
-            offsets[i + 1] += offsets[i]
-        csr = cls(offsets, targets, ids, name=name)
-        csr._index_of = index_of
-        return csr
+        return cls(offsets, targets, ids, name=name)
 
     def to_graph(self, name: str | None = None) -> Graph:
         """Round-trip back to a mutable :class:`Graph` (original ids)."""
@@ -241,38 +218,39 @@ class CSRGraph:
     # ------------------------------------------------------------------
     # derived flat structures (cached; used by the flat engines)
     # ------------------------------------------------------------------
-    def edge_owners(self) -> array:
-        """``owner[e]`` — the compact node whose slice contains edge ``e``."""
+    def edge_owners(
+        self, backend: "str | KernelBackend | None" = None
+    ) -> array:
+        """``owner[e]`` — the compact node whose slice contains edge ``e``.
+
+        Built once by ``backend`` (default stdlib; all build the same
+        buffer) and cached.
+        """
         if self._edge_owners is None:
-            owners = array("q", [0]) * len(self.targets)
-            offsets = self.offsets
-            for i in range(len(self.ids)):
-                lo = offsets[i]
-                hi = offsets[i + 1]
-                if hi > lo:
-                    owners[lo:hi] = array("q", [i]) * (hi - lo)
-            self._edge_owners = owners
+            from repro.sim.kernels import resolve_backend
+
+            self._edge_owners = resolve_backend(backend).csr_edge_owners(
+                self.offsets
+            )
         return self._edge_owners
 
-    def mirror(self) -> array:
+    def mirror(self, backend: "str | KernelBackend | None" = None) -> array:
         """``mirror[e]`` — index of the reverse directed edge of ``e``.
 
         If ``e`` sits in ``u``'s slice and points at ``v``, ``mirror[e]``
-        sits in ``v``'s slice and points back at ``u``. Built in one
-        O(m) cursor pass: scanning edges in (owner, target) order visits
-        the in-edges of each node ``v`` with owners ascending — exactly
-        ``v``'s (sorted) slice order — so each reverse position is the
-        next unfilled slot of ``v``'s slice.
+        sits in ``v``'s slice and points back at ``u``. Scanning edges
+        in (owner, target) order visits the in-edges of each node ``v``
+        with owners ascending — exactly ``v``'s (sorted) slice order —
+        so each reverse position is the next unfilled slot of ``v``'s
+        slice. Built once by ``backend`` (default stdlib; all build the
+        same buffer) and cached.
         """
         if self._mirror is None:
-            offsets, targets = self.offsets, self.targets
-            mirror = array("q", [0]) * len(targets)
-            cursor = array("q", offsets[:len(self.ids)])
-            for e, v in enumerate(targets):
-                slot = cursor[v]
-                cursor[v] = slot + 1
-                mirror[e] = slot
-            self._mirror = mirror
+            from repro.sim.kernels import resolve_backend
+
+            self._mirror = resolve_backend(backend).csr_mirror(
+                self.offsets, self.targets
+            )
         return self._mirror
 
     # ------------------------------------------------------------------

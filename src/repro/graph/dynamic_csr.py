@@ -156,14 +156,14 @@ class DynamicCSRGraph:
                    backend: "KernelBackend | str | None" = None,
                    ) -> "DynamicCSRGraph":
         """Build from a mutable object :class:`Graph`."""
-        return cls.from_csr(CSRGraph.from_graph(graph), backend)
+        return cls.from_csr(CSRGraph.from_graph(graph, backend=backend), backend)
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]],
                    backend: "KernelBackend | str | None" = None,
                    ) -> "DynamicCSRGraph":
         """Build from an edge list (see :meth:`CSRGraph.from_edges`)."""
-        return cls.from_csr(CSRGraph.from_edges(edges), backend)
+        return cls.from_csr(CSRGraph.from_edges(edges, backend=backend), backend)
 
     # ------------------------------------------------------------------
     # introspection

@@ -91,6 +91,21 @@ class Graph:
                     graph.add_edge(u, v, strict=False)
         return graph
 
+    @classmethod
+    def _adopt(
+        cls, adjacency: dict[int, set[int]], num_edges: int, name: str = ""
+    ) -> "Graph":
+        """Wrap a ready symmetric simple adjacency without copying it.
+
+        The caller vouches for ``adjacency`` (symmetric, no self-loops,
+        ``num_edges`` undirected edges) and hands it over; the edge-list
+        reader's array builders use this to skip per-edge insertion.
+        """
+        graph = cls(name=name)
+        graph._adj = adjacency
+        graph._num_edges = num_edges
+        return graph
+
     def copy(self, name: str | None = None) -> "Graph":
         """Return an independent deep copy."""
         dup = Graph(name=self.name if name is None else name)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import gzip
 import os
+import zlib
 from typing import Iterator, TextIO
 
 from repro.errors import GraphIOError
@@ -57,16 +58,44 @@ def read_edge_list(
     ``relabel`` renumbers nodes to ``0..N-1`` (the default, since SNAP
     ids are sparse); the original ids are discarded. Self-loops and
     duplicate/reverse edges collapse into single undirected edges.
+
+    A file that cannot be read as edge-list text — a bad line, a
+    truncated or corrupt ``.gz``, bytes that are not UTF-8 — raises
+    :class:`GraphIOError` naming ``path``. The numpy kernel backend
+    builds the graph when numpy is importable, the stdlib one otherwise;
+    both build the same ``Graph``.
     """
+    from repro.sim.kernels import numpy_available
+
+    return _read(path, relabel, name, "numpy" if numpy_available() else "stdlib")
+
+
+def _read(
+    path: str | os.PathLike[str],
+    relabel: bool,
+    name: str | None,
+    backend: str,
+) -> Graph:
+    """:func:`read_edge_list` on a named kernel backend."""
+    from repro.sim.kernels import resolve_backend
+
     path = os.fspath(path)
+    kb = resolve_backend(backend)
     with _open_text(path) as handle:
-        graph = Graph.from_edges(
-            parse_edge_lines(handle),
-            name=name or os.path.basename(path),
-        )
-    if relabel:
-        graph, _ = graph.relabeled()
-    return graph
+        try:
+            # decoded whole, so an undecodable file fails before any of
+            # its lines is parsed, whichever backend parses them
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise GraphIOError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        except EOFError as exc:
+            raise GraphIOError(f"{path}: truncated gzip stream ({exc})") from exc
+        except (gzip.BadGzipFile, zlib.error) as exc:
+            raise GraphIOError(f"{path}: corrupt gzip stream ({exc})") from exc
+    try:
+        return kb.read_graph(text, relabel, name or os.path.basename(path))
+    except GraphIOError as exc:
+        raise GraphIOError(f"{path}: {exc}") from exc
 
 
 def write_edge_list(

@@ -45,12 +45,15 @@ maps, cut sizes — is already separated per host.
 from __future__ import annotations
 
 from array import array
-from itertools import chain
+from typing import TYPE_CHECKING
 
 from repro.core.assignment import Assignment
 from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
+
+if TYPE_CHECKING:
+    from repro.sim.kernels.base import KernelBackend
 
 __all__ = ["HostShard", "ShardedCSR"]
 
@@ -220,7 +223,9 @@ class ShardedCSR:
     extra node raises :class:`ConfigurationError` (the object engine
     fails on such assignments too, just less legibly). Hosts owning no
     nodes get an empty shard — the documented ``num_hosts > num_nodes``
-    contract of :func:`repro.core.assignment.assign`.
+    contract of :func:`repro.core.assignment.assign`. ``backend`` names
+    the kernel backend that builds the shard tables (default stdlib);
+    every backend builds the same tables.
 
     >>> from repro.graph.generators import path_graph
     >>> from repro.core.assignment import assign
@@ -235,7 +240,12 @@ class ShardedCSR:
     __slots__ = ("csr", "assignment", "num_hosts", "shards", "host_of_index",
                  "cut_edges")
 
-    def __init__(self, csr: CSRGraph, assignment: Assignment) -> None:
+    def __init__(
+        self,
+        csr: CSRGraph,
+        assignment: Assignment,
+        backend: "str | KernelBackend | None" = None,
+    ) -> None:
         self.csr = csr
         self.assignment = assignment
         self.num_hosts = assignment.num_hosts
@@ -256,98 +266,36 @@ class ShardedCSR:
             ) from None
         self.host_of_index = host_idx
 
-        num_hosts = self.num_hosts
-        owned_per: list[list[int]] = [[] for _ in range(num_hosts)]
-        for i in range(n):
-            owned_per[host_idx[i]].append(i)
-        # local rank of every global node within its owning shard
-        local_of = array("q", [0]) * n
-        for nodes in owned_per:
-            for rank, i in enumerate(nodes):
-                local_of[i] = rank
+        from repro.sim.kernels import resolve_backend
 
-        offsets = csr.offsets
-        targets = csr.targets
-        shards: list[HostShard] = []
         directed_cut = 0
-        # ext-slot scratch, shared across shards: slot_of[g] is g's ext
-        # slot while building the current shard, -1 otherwise (reset via
-        # the shard's own ext list — only touched entries are cleared)
-        slot_of = array("q", [-1]) * n
-        for x in range(num_hosts):
-            shard = HostShard(x)
-            owned = owned_per[x]
-            n_owned = len(owned)
-            shard.n_owned = n_owned
-            shard.owned_global = array("q", owned)
-            # single pass over the shard's edges: local CSR, the
-            # external index space (first-encounter order) and the
-            # watcher lists all at once
-            ext_list: list[int] = []
-            loc_offsets = array("q", [0] * (n_owned + 1))
-            loc: list[int] = []
-            loc_append = loc.append
-            watchers: list[list[int]] = []
-            for u, i in enumerate(owned):
-                # iterating the slice directly keeps the inner loop on
-                # C-level array iteration instead of index arithmetic
-                for j in targets[offsets[i]:offsets[i + 1]]:
-                    if host_idx[j] == x:
-                        loc_append(local_of[j])
-                    else:
-                        s = slot_of[j]
-                        if s < 0:
-                            s = len(ext_list)
-                            slot_of[j] = s
-                            ext_list.append(j)
-                            watchers.append([u])
-                        else:
-                            watchers[s].append(u)
-                        loc_append(n_owned + s)
-                loc_offsets[u + 1] = len(loc)
-            loc_targets = array("q", loc)
-            shard.n_ext = len(ext_list)
-            shard.ext_global = array("q", ext_list)
-            shard.ext_host = ext_host = array(
-                "q", [host_idx[g] for g in ext_list]
+        shards: list[HostShard] = []
+        for x, table in enumerate(
+            resolve_backend(backend).shard_tables(
+                csr.offsets, csr.targets, host_idx, self.num_hosts
             )
-            for g in ext_list:
-                slot_of[g] = -1
-            shard.offsets = loc_offsets
-            shard.targets = loc_targets
-            watch_offsets = array("q", [0] * (len(ext_list) + 1))
-            # the per-host directed cut falls out of the watcher lists:
-            # every edge into ext node s is one directed edge toward the
-            # host owning s
-            cut_to: dict[int, int] = {}
-            cut_get = cut_to.get
-            for s, us in enumerate(watchers):
-                watch_offsets[s + 1] = watch_offsets[s] + len(us)
-                y = ext_host[s]
-                cut_to[y] = cut_get(y, 0) + len(us)
-            shard.watch_offsets = watch_offsets
-            shard.watch_targets = array("q", chain.from_iterable(watchers))
-            shard.neighbor_hosts = tuple(sorted(cut_to))
-            shard.cut_to = cut_to
-            shard.deliver = [[] for _ in range(n_owned)]
-            directed_cut += sum(cut_to.values())
+        ):
+            shard = HostShard(x)
+            (
+                shard.owned_global,
+                shard.offsets,
+                shard.targets,
+                shard.ext_global,
+                shard.ext_host,
+                shard.watch_offsets,
+                shard.watch_targets,
+                shard.cut_to,
+                shard.deliver,
+            ) = table
+            shard.n_owned = len(shard.owned_global)
+            shard.n_ext = len(shard.ext_global)
+            shard.neighbor_hosts = tuple(sorted(shard.cut_to))
+            directed_cut += sum(shard.cut_to.values())
             shards.append(shard)
         self.shards = shards
         # every cut edge contributes one directed edge to each endpoint's
         # shard, so the undirected cut is half the directed total
         self.cut_edges = directed_cut // 2
-
-        # phase 2, destination side (needs every shard's ext index
-        # space): u is in x's border toward y  <=>  u appears in y's
-        # external set — so walking each shard's ext list fills the
-        # sender delivery lists in one sweep, touching each unique
-        # (node, watching host) pair once. The per-host border/slot
-        # dicts (``dest_slots``) derive lazily from these lists.
-        for y, shard_y in enumerate(shards):
-            s = 0
-            for g in shard_y.ext_global:
-                shards[host_idx[g]].deliver[local_of[g]].append((y, s))
-                s += 1
 
     # ------------------------------------------------------------------
     # pickling — explicit state so the whole partition (or any single

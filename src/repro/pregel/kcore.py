@@ -124,13 +124,13 @@ def _run_flat(
     from repro.sim.kernels import resolve_backend
 
     kb = resolve_backend(backend)
-    csr = CSRGraph.from_graph(graph)
+    csr = CSRGraph.from_graph(graph, backend=kb)
     assignment = assign(graph, num_workers, policy=partition_policy)
     n = csr.num_nodes
     offsets = kb.graph_array(csr.offsets)
     targets = kb.graph_array(csr.targets)
-    mirror = kb.graph_array(csr.mirror())
-    owner = kb.graph_array(csr.edge_owners())
+    mirror = kb.graph_array(csr.mirror(kb))
+    owner = kb.graph_array(csr.edge_owners(kb))
     host_of = assignment.host_of
     worker_of = kb.graph_array(
         _array("q", [host_of[csr.ids[i]] for i in range(n)])

@@ -177,8 +177,8 @@ class FlatOneToOneEngine:
         n = csr.num_nodes
         offsets = kb.graph_array(csr.offsets)
         targets = kb.graph_array(csr.targets)
-        mirror = kb.graph_array(csr.mirror())
-        owner = kb.graph_array(csr.edge_owners())
+        mirror = kb.graph_array(csr.mirror(kb))
+        owner = kb.graph_array(csr.edge_owners(kb))
         num_slots = len(csr.targets)
         optimize = self.optimize_sends
 

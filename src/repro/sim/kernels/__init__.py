@@ -50,6 +50,13 @@ object engines (``round`` / ``async``)       n/a [2]_   n/a [2]_
 .. [2] The object engines run ``Process`` subclasses, not kernels; a
    non-default ``backend`` on them is rejected by the config layer.
 
+**Construction.** The builders behind the engines are kernels too:
+``read_graph`` (SNAP text to ``Graph``), ``csr_from_pairs`` /
+``csr_from_graph`` / ``csr_mirror`` / ``csr_edge_owners`` (the
+``CSRGraph`` buffers) and ``shard_tables`` (``ShardedCSR``). The flat
+and mp runners build on the backend they run; ``read_edge_list`` uses
+numpy whenever it imports. Every backend builds the same objects.
+
 Vectorisation boundary: the numpy backend vectorises *within* a batch
 (a lockstep round's frontier, one host activation's fold + cascade, a
 Jacobi sweep); activation order, RNG streams and message routing stay

@@ -364,6 +364,73 @@ class KernelBackend(Protocol):
         raise NotImplementedError
 
     # ------------------------------------------------------------------
+    # graph construction (SNAP text -> Graph, Graph/edges -> CSR ->
+    # host shards)
+    # ------------------------------------------------------------------
+    def read_graph(self, text: str, relabel: bool, name: str):
+        """Parse decoded SNAP edge-list text into an undirected ``Graph``.
+
+        The grammar and the errors are those of
+        :func:`repro.graph.io.parse_edge_lines` (a bad line raises its
+        :class:`~repro.errors.GraphIOError`, naming the line). Self-loops
+        drop but keep their node, duplicate and reverse edges collapse.
+        With ``relabel`` the nodes are ``0..N-1`` by ascending original
+        id; without it they keep their ids, inserted in first-appearance
+        order. Backends must agree on the ``Graph`` (adjacency, node
+        order, ``name``) and on the error message, and ids beyond int64
+        must keep working.
+        """
+        raise NotImplementedError
+
+    def csr_from_pairs(self, us, vs, num_nodes: int | None):
+        """The canonical edges -> CSR build.
+
+        ``us`` / ``vs`` are parallel endpoint sequences. The node set is
+        every endpoint (self-loops included) plus ``0..num_nodes-1``;
+        returns ``(offsets, targets, ids)`` as ``array('q')`` buffers of
+        a :class:`~repro.graph.csr.CSRGraph`: ``ids`` ascending, each
+        slice of ``targets`` sorted, self-loops dropped, duplicate and
+        reverse pairs collapsed.
+        """
+        raise NotImplementedError
+
+    def csr_from_graph(self, graph):
+        """Compact a ``Graph`` into ``(offsets, targets, ids, index_of)``.
+
+        The ``array('q')`` buffers of
+        :meth:`~repro.graph.csr.CSRGraph.from_graph`; ``index_of`` is
+        the ``{id: compact index}`` dict, or ``None`` when the ids are
+        already ``0..n-1``.
+        """
+        raise NotImplementedError
+
+    def csr_mirror(self, offsets: Table, targets: Table):
+        """``mirror[e]``, the position of edge ``e``'s reverse, as an
+        ``array('q')`` (see :meth:`~repro.graph.csr.CSRGraph.mirror`)."""
+        raise NotImplementedError
+
+    def csr_edge_owners(self, offsets: Table):
+        """``owner[e]``, the node whose slice holds edge ``e``, as an
+        ``array('q')``."""
+        raise NotImplementedError
+
+    def shard_tables(self, offsets: Table, targets: Table, host_idx: Table,
+                     num_hosts: int) -> list:
+        """Every host's slice of a CSR, for :class:`~repro.graph.sharded.
+        ShardedCSR`.
+
+        ``host_idx[i]`` is the host owning compact node ``i``. Returns
+        one tuple per host, ``(owned_global, offsets, targets,
+        ext_global, ext_host, watch_offsets, watch_targets, cut_to,
+        deliver)``, with the meaning and orders of the
+        :class:`~repro.graph.sharded.HostShard` slots of those names:
+        ``array('q')`` buffers, ``cut_to`` a dict of builtin ints in
+        first-encounter order of the hosts, ``deliver`` a list of lists
+        of builtin ``(host, slot)`` tuples.
+        """
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
     # shared-memory transport primitives (mp engine, transport="shm")
     # ------------------------------------------------------------------
     def shm_view(self, buf, n: int) -> Table:

@@ -3,7 +3,9 @@
 These are the PR 1-3 hot loops, extracted verbatim from
 ``sim/flat_engine.py`` and ``sim/flat_many_engine.py`` so that every
 flat engine (and the flat h-index / Pregel baselines) shares one copy.
-This backend *defines* the kernel contract of
+The construction kernels are the builders that used to live in
+``graph/io.py``, ``graph/csr.py`` and ``graph/sharded.py``, moved here
+unchanged. This backend *defines* the kernel contract of
 :mod:`repro.sim.kernels.base`: alternative backends are validated
 against it bit-for-bit. It needs nothing beyond ``array`` and
 ``collections`` and is always available — the default everywhere.
@@ -11,8 +13,10 @@ against it bit-for-bit. It needs nothing beyond ``array`` and
 
 from __future__ import annotations
 
+import io
 from array import array
 from collections import deque
+from itertools import chain
 
 from repro.core.compute_index import compute_index
 from repro.sim.kernels.base import KernelBackend
@@ -294,6 +298,177 @@ class StdlibBackend(KernelBackend):
                         nxt.add(t)
             work = sorted(nxt)
         return sorted(changed), rounds
+
+    # ------------------------------------------------------------------
+    # graph construction
+    # ------------------------------------------------------------------
+    def read_graph(self, text: str, relabel: bool, name: str):
+        from repro.graph.graph import Graph
+        from repro.graph.io import parse_edge_lines
+
+        graph = Graph.from_edges(
+            parse_edge_lines(io.StringIO(text)), name=name
+        )
+        if relabel:
+            graph, _ = graph.relabeled()
+        return graph
+
+    def csr_from_pairs(self, us, vs, num_nodes):
+        node_set: set[int] = set()
+        pairs: list[tuple[int, int]] = []
+        for u, v in zip(us, vs):
+            if u == v:
+                node_set.add(u)
+                continue
+            node_set.add(u)
+            node_set.add(v)
+            pairs.append((u, v) if u < v else (v, u))
+        if num_nodes is not None:
+            node_set.update(range(num_nodes))
+        node_ids = sorted(node_set)
+        ids = array("q", node_ids)
+        index_of = {u: i for i, u in enumerate(node_ids)}
+        n = len(node_ids)
+        # both directions, compacted, sorted, deduplicated
+        directed = sorted(
+            {(index_of[u], index_of[v]) for u, v in pairs}
+            | {(index_of[v], index_of[u]) for u, v in pairs}
+        )
+        offsets = array("q", [0] * (n + 1))
+        targets = array("q", [0] * len(directed))
+        for e, (src, dst) in enumerate(directed):
+            offsets[src + 1] += 1
+            targets[e] = dst
+        for i in range(n):
+            offsets[i + 1] += offsets[i]
+        return offsets, targets, ids
+
+    def csr_from_graph(self, graph):
+        node_ids = sorted(graph.nodes())
+        ids = array("q", node_ids)
+        n = len(node_ids)
+        contiguous = n == 0 or (node_ids[0] == 0 and node_ids[-1] == n - 1)
+        index_of = (
+            None if contiguous else {u: i for i, u in enumerate(node_ids)}
+        )
+        offsets = array("q", [0] * (n + 1))
+        for i, u in enumerate(node_ids):
+            offsets[i + 1] = offsets[i] + graph.degree(u)
+        targets = array("q", [0] * offsets[n])
+        cursor = 0
+        for u in node_ids:
+            # contiguous ids map to themselves; otherwise the compaction
+            # map is monotone (ids are ranked ascending), so the graph's
+            # cached sorted tuples stay sorted after mapping — no re-sort
+            if contiguous:
+                nbrs = graph.sorted_neighbors(u, cache=False)
+            else:
+                nbrs = [
+                    index_of[v] for v in graph.sorted_neighbors(u, cache=False)
+                ]
+            targets[cursor:cursor + len(nbrs)] = array("q", nbrs)
+            cursor += len(nbrs)
+        return offsets, targets, ids, index_of
+
+    def csr_mirror(self, offsets, targets):
+        # one O(m) cursor pass: the next unfilled slot of v's slice
+        mirror = array("q", [0]) * len(targets)
+        cursor = array("q", offsets[:len(offsets) - 1])
+        for e, v in enumerate(targets):
+            slot = cursor[v]
+            cursor[v] = slot + 1
+            mirror[e] = slot
+        return mirror
+
+    def csr_edge_owners(self, offsets):
+        owners = array("q", [0]) * offsets[len(offsets) - 1]
+        for i in range(len(offsets) - 1):
+            lo = offsets[i]
+            hi = offsets[i + 1]
+            if hi > lo:
+                owners[lo:hi] = array("q", [i]) * (hi - lo)
+        return owners
+
+    def shard_tables(self, offsets, targets, host_idx, num_hosts):
+        n = len(host_idx)
+        owned_per: list[list[int]] = [[] for _ in range(num_hosts)]
+        for i in range(n):
+            owned_per[host_idx[i]].append(i)
+        # local rank of every global node within its owning shard
+        local_of = array("q", [0]) * n
+        for nodes in owned_per:
+            for rank, i in enumerate(nodes):
+                local_of[i] = rank
+
+        tables = []
+        # ext-slot scratch, shared across shards: slot_of[g] is g's ext
+        # slot while building the current shard, -1 otherwise (reset via
+        # the shard's own ext list — only touched entries are cleared)
+        slot_of = array("q", [-1]) * n
+        for x in range(num_hosts):
+            owned = owned_per[x]
+            n_owned = len(owned)
+            # single pass over the shard's edges: local CSR, the
+            # external index space (first-encounter order) and the
+            # watcher lists all at once
+            ext_list: list[int] = []
+            loc_offsets = array("q", [0] * (n_owned + 1))
+            loc: list[int] = []
+            loc_append = loc.append
+            watchers: list[list[int]] = []
+            for u, i in enumerate(owned):
+                # iterating the slice directly keeps the inner loop on
+                # C-level array iteration instead of index arithmetic
+                for j in targets[offsets[i]:offsets[i + 1]]:
+                    if host_idx[j] == x:
+                        loc_append(local_of[j])
+                    else:
+                        s = slot_of[j]
+                        if s < 0:
+                            s = len(ext_list)
+                            slot_of[j] = s
+                            ext_list.append(j)
+                            watchers.append([u])
+                        else:
+                            watchers[s].append(u)
+                        loc_append(n_owned + s)
+                loc_offsets[u + 1] = len(loc)
+            ext_host = array("q", [host_idx[g] for g in ext_list])
+            for g in ext_list:
+                slot_of[g] = -1
+            watch_offsets = array("q", [0] * (len(ext_list) + 1))
+            # the per-host directed cut falls out of the watcher lists:
+            # every edge into ext node s is one directed edge toward the
+            # host owning s
+            cut_to: dict[int, int] = {}
+            cut_get = cut_to.get
+            for s, us in enumerate(watchers):
+                watch_offsets[s + 1] = watch_offsets[s] + len(us)
+                y = ext_host[s]
+                cut_to[y] = cut_get(y, 0) + len(us)
+            tables.append((
+                array("q", owned),
+                loc_offsets,
+                array("q", loc),
+                array("q", ext_list),
+                ext_host,
+                watch_offsets,
+                array("q", chain.from_iterable(watchers)),
+                cut_to,
+                [[] for _ in range(n_owned)],
+            ))
+
+        # phase 2, destination side (needs every shard's ext index
+        # space): u is in x's border toward y  <=>  u appears in y's
+        # external set — so walking each shard's ext list fills the
+        # sender delivery lists in one sweep, touching each unique
+        # (node, watching host) pair once
+        for y, table in enumerate(tables):
+            s = 0
+            for g in table[3]:
+                tables[host_idx[g]][8][local_of[g]].append((y, s))
+                s += 1
+        return tables
 
     # ------------------------------------------------------------------
     # shared-memory transport primitives

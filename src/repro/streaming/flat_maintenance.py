@@ -174,7 +174,7 @@ class FlatDynamicKCore:
             return graph.to_csr()
         if isinstance(graph, CSRGraph):
             return graph
-        return CSRGraph.from_graph(graph)
+        return CSRGraph.from_graph(graph, backend=self._backend)
 
     def _keeps(self, u: int, v: int) -> bool:
         """ELM sampling decision for edge ``{u, v}`` (fixed per edge)."""
@@ -191,7 +191,7 @@ class FlatDynamicKCore:
             for a, b in csr.edges()
             if self._keeps(ids[a], ids[b])
         ]
-        full = CSRGraph.from_edges(kept)
+        full = CSRGraph.from_edges(kept, backend=self._backend)
         # re-attach nodes whose every edge was sampled away
         index = {full.ids[i]: i for i in range(full.num_nodes)}
         missing = sorted(set(ids) - set(index))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import strategies as st
 
@@ -49,6 +51,21 @@ def connected_graphs(draw, min_nodes: int = 2, max_nodes: int = 30):
     )
     edges.extend(extra)
     return Graph.from_edges(edges, num_nodes=n)
+
+
+# ----------------------------------------------------------------------
+# assertions
+# ----------------------------------------------------------------------
+def assert_same_shards(ref, got):
+    """Bit-identical partitions: every pickled slot, in every order."""
+    assert got.cut_edges == ref.cut_edges
+    assert got.host_of_index == ref.host_of_index
+    assert len(got.shards) == len(ref.shards)
+    for a, b in zip(ref.shards, got.shards):
+        assert list(b.cut_to.items()) == list(a.cut_to.items())
+        assert b.deliver == a.deliver
+        assert b.__getstate__() == a.__getstate__()
+        assert pickle.dumps(b) == pickle.dumps(a)
 
 
 # ----------------------------------------------------------------------

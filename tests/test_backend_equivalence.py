@@ -22,12 +22,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import batagelj_zaversnik
+from repro.core.assignment import ASSIGNMENT_POLICIES, assign
 from repro.core.one_to_many import OneToManyConfig, run_one_to_many
 from repro.core.one_to_one import OneToOneConfig, run_one_to_one
 from repro.graph import generators as gen
+from repro.graph.csr import CSRGraph
+from repro.graph.graph import Graph
+from repro.graph.sharded import ShardedCSR
 from repro.sim.kernels import numpy_available
 
-from tests.conftest import graphs
+from tests.conftest import assert_same_shards, graphs
 
 pytestmark = pytest.mark.skipif(
     not numpy_available(),
@@ -54,6 +58,9 @@ FAMILIES = {
 }
 
 SEEDS = (0, 1, 2)
+
+#: host counts of the construction grid; "surplus" is num_nodes + 3
+HOST_COUNTS = (1, 2, 8, "surplus")
 
 
 def _fingerprint(result):
@@ -226,4 +233,71 @@ class TestHypothesis:
     def test_one_to_many(self, g, seed, hosts):
         assert_backends_agree_one_to_many(
             g, num_hosts=hosts, seed=seed, communication="p2p"
+        )
+
+
+def _sparse(graph):
+    """``graph`` with negative, non-contiguous ids (same shape)."""
+    return Graph.from_edges(
+        [(7 * u - 40, 7 * v - 40) for u, v in graph.edges()]
+        + [(7 * u - 40,) * 2 for u in graph.nodes()]
+    )
+
+
+def _csr_state(csr, backend):
+    """Every buffer a CSR build or its derived tables expose."""
+    return (
+        csr.offsets, csr.targets, csr.ids, csr._index_of,
+        csr.mirror(backend), csr.edge_owners(backend),
+    )
+
+
+class TestConstructionGrid:
+    """The construction kernels: numpy builds the stdlib's buffers."""
+
+    @pytest.mark.parametrize("ids", ("dense", "sparse"))
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_csr_from_graph(self, family, ids):
+        graph = FAMILIES[family]()
+        if ids == "sparse":
+            graph = _sparse(graph)
+        stdlib = CSRGraph.from_graph(graph, backend="stdlib")
+        vectorised = CSRGraph.from_graph(graph, backend="numpy")
+        assert _csr_state(vectorised, "numpy") == _csr_state(stdlib, "stdlib")
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_csr_from_edges(self, family):
+        graph = FAMILIES[family]()
+        edges = list(graph.edges())
+        # reversed duplicates and self-loops collapse the same way
+        edges += [(v, u) for u, v in edges[::3]]
+        edges += [(u, u) for u in list(graph.nodes())[::4]]
+        for num_nodes in (None, graph.num_nodes + 2):
+            stdlib = CSRGraph.from_edges(edges, num_nodes, backend="stdlib")
+            vectorised = CSRGraph.from_edges(edges, num_nodes, backend="numpy")
+            assert _csr_state(vectorised, "numpy") == _csr_state(
+                stdlib, "stdlib"
+            )
+
+    @pytest.mark.parametrize("hosts", HOST_COUNTS)
+    @pytest.mark.parametrize("policy", sorted(ASSIGNMENT_POLICIES))
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_shards(self, family, policy, hosts):
+        graph = FAMILIES[family]()
+        count = graph.num_nodes + 3 if hosts == "surplus" else hosts
+        assignment = assign(graph, count, policy=policy, seed=3)
+        csr = CSRGraph.from_graph(graph)
+        assert_same_shards(
+            ShardedCSR(csr, assignment, "stdlib"),
+            ShardedCSR(csr, assignment, "numpy"),
+        )
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_shards_sparse_ids(self, family):
+        graph = _sparse(FAMILIES[family]()).shuffled(seed=8)
+        assignment = assign(graph, 5, policy="random", seed=1)
+        csr = CSRGraph.from_graph(graph)
+        assert_same_shards(
+            ShardedCSR(csr, assignment, "stdlib"),
+            ShardedCSR(csr, assignment, "numpy"),
         )

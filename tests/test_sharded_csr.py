@@ -21,8 +21,9 @@ from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
 from repro.graph.sharded import ShardedCSR
+from repro.sim.kernels import numpy_available
 
-from tests.conftest import graphs
+from tests.conftest import assert_same_shards, graphs
 
 
 def _shard_owned_ids(sharded: ShardedCSR, host: int) -> list[int]:
@@ -184,6 +185,22 @@ class TestCuts:
         assignment = assign(g, hosts, policy=policy, seed=5)
         sharded = ShardedCSR.from_graph(g, assignment)
         assert sharded.cut_edges == assignment.cut_edges(g)
+
+    @pytest.mark.skipif(
+        not numpy_available(), reason="the numpy shard builder needs numpy"
+    )
+    @given(graphs(), st.integers(1, 40), st.sampled_from(
+        ["modulo", "block", "random", "bfs", "refined"]), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_backends_build_identical_shards(self, g, hosts, policy, shuffle):
+        if shuffle:
+            g = g.shuffled(seed=hosts)
+        assignment = assign(g, hosts, policy=policy, seed=5)
+        csr = CSRGraph.from_graph(g)
+        assert_same_shards(
+            ShardedCSR(csr, assignment, "stdlib"),
+            ShardedCSR(csr, assignment, "numpy"),
+        )
 
     def test_cut_matrix_sums_to_cut_edges(self):
         g = gen.powerlaw_cluster_graph(120, 3, 0.3, seed=42)
