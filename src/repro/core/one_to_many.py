@@ -40,6 +40,7 @@ from repro.graph.graph import Graph
 from repro.sim.checkpoint import CheckpointPolicy
 from repro.sim.engine import Observer, RoundEngine
 from repro.sim.node import Context, Message, Process
+from repro.sim.shard_runtime import check_communication
 from repro.telemetry import finish_run_telemetry, run_tracer
 
 __all__ = ["KCoreHost", "OneToManyConfig", "run_one_to_many", "build_host_processes"]
@@ -327,13 +328,7 @@ def build_host_processes(
     p2p_filter: bool = False,
 ) -> dict[int, KCoreHost]:
     """Instantiate one :class:`KCoreHost` per host of ``assignment``."""
-    if communication not in ("broadcast", "p2p"):
-        raise ConfigurationError(
-            f"unknown communication policy {communication!r}; "
-            "options: ['broadcast', 'p2p']"
-        )
-    if p2p_filter and communication != "p2p":
-        raise ConfigurationError("p2p_filter requires the p2p policy")
+    check_communication(communication, p2p_filter)
     adjacency_of = {
         u: graph.sorted_neighbors(u) for u in graph.nodes()
     }

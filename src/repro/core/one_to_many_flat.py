@@ -35,7 +35,59 @@ from repro.sim.kernels import resolve_backend
 from repro.sim.tracing import recorders_from_observers
 from repro.telemetry import finish_run_telemetry, run_tracer
 
-__all__ = ["run_one_to_many_flat"]
+__all__ = ["run_one_to_many_flat", "shard_for_run", "export_partition_extra"]
+
+
+def shard_for_run(
+    graph: "Graph | CSRGraph", config, assignment: Assignment | None
+) -> "tuple[ShardedCSR, Assignment, int, bool]":
+    """The set-up the flat and mp runners share.
+
+    Places and shards ``graph`` on the run's backend and resolves the
+    round budget; returns ``(sharded, assignment, max_rounds,
+    strict)``. A prebuilt :class:`CSRGraph` requires an explicit
+    ``assignment``, since the placement policies are defined over the
+    original node ids of a :class:`Graph`. ``fixed_rounds`` truncates
+    the run without failing it.
+    """
+    # resolved here, in the config layer, so an unknown name or a
+    # missing numpy fails before any shard work starts
+    backend = resolve_backend(config.backend)
+    if isinstance(graph, CSRGraph):
+        if assignment is None:
+            raise ConfigurationError(
+                "a prebuilt CSRGraph carries no placement policy input; "
+                "pass an explicit assignment (from repro.core.assignment."
+                "assign on the source Graph)"
+            )
+        csr = graph
+    else:
+        if assignment is None:
+            # built *before* the engine touches the seed so a shared
+            # Random instance is consumed in the same order as the
+            # object path (assign first, then the activation shuffle)
+            assignment = assign(
+                graph, config.num_hosts, policy=config.policy,
+                seed=config.seed,
+            )
+        csr = CSRGraph.from_graph(graph, backend=backend)
+    sharded = ShardedCSR(csr, assignment, backend)
+    if config.fixed_rounds is not None:
+        return sharded, assignment, config.fixed_rounds, False
+    return sharded, assignment, config.max_rounds, config.strict
+
+
+def export_partition_extra(stats, engine, sharded: ShardedCSR) -> None:
+    """The ``stats.extra`` keys every one-to-many engine reports: the
+    Figure-5 overhead and the partition statistics."""
+    estimates_sent = engine.estimates_sent_total()
+    num_nodes = sharded.csr.num_nodes
+    stats.extra["estimates_sent_total"] = estimates_sent
+    stats.extra["estimates_sent_per_node"] = (
+        estimates_sent / num_nodes if num_nodes else 0.0
+    )
+    stats.extra["num_hosts"] = sharded.num_hosts
+    stats.extra["cut_edges"] = sharded.cut_edges
 
 
 def run_one_to_many_flat(
@@ -66,35 +118,9 @@ def run_one_to_many_flat(
     # through to the engine's array-diff recording path
     recorders = recorders_from_observers(config.observers, "flat")
     tracer = run_tracer(config.telemetry, config.trace_out)
-    # resolved here, in the config layer, so an unknown name or a
-    # missing numpy fails before any shard work starts; both modes and
-    # all communication policies accept both backends
-    backend = resolve_backend(config.backend)
-    if isinstance(graph, CSRGraph):
-        if assignment is None:
-            raise ConfigurationError(
-                "a prebuilt CSRGraph carries no placement policy input; "
-                "pass an explicit assignment (from repro.core.assignment."
-                "assign on the source Graph)"
-            )
-        csr = graph
-    else:
-        if assignment is None:
-            # built *before* the engine touches the seed so a shared
-            # Random instance is consumed in the same order as the
-            # object path (assign first, then the activation shuffle)
-            assignment = assign(
-                graph, config.num_hosts, policy=config.policy,
-                seed=config.seed,
-            )
-        csr = CSRGraph.from_graph(graph, backend=backend)
-    sharded = ShardedCSR(csr, assignment, backend)
-
-    max_rounds = config.max_rounds
-    strict = config.strict
-    if config.fixed_rounds is not None:
-        max_rounds = config.fixed_rounds
-        strict = False
+    sharded, assignment, max_rounds, strict = shard_for_run(
+        graph, config, assignment
+    )
     engine = FlatOneToManyEngine(
         sharded,
         communication=config.communication,
@@ -103,20 +129,13 @@ def run_one_to_many_flat(
         p2p_filter=config.p2p_filter,
         max_rounds=max_rounds,
         strict=strict,
-        backend=backend,
+        backend=config.backend,
         telemetry=tracer,
         recorders=recorders,
     )
     stats = engine.run()
 
-    estimates_sent = engine.estimates_sent_total()
-    num_nodes = csr.num_nodes
-    stats.extra["estimates_sent_total"] = estimates_sent
-    stats.extra["estimates_sent_per_node"] = (
-        estimates_sent / num_nodes if num_nodes else 0.0
-    )
-    stats.extra["num_hosts"] = assignment.num_hosts
-    stats.extra["cut_edges"] = sharded.cut_edges
+    export_partition_extra(stats, engine, sharded)
     if assignment.policy == "refined":
         stats.extra["cut_edges_after_refine"] = sharded.cut_edges
     finish_run_telemetry(tracer, config.trace_out, stats)

@@ -47,15 +47,13 @@ from __future__ import annotations
 import pickle
 import warnings
 
-from repro.core.assignment import Assignment, assign
+from repro.core.assignment import Assignment
+from repro.core.one_to_many_flat import export_partition_extra, shard_for_run
 from repro.core.result import DecompositionResult
-from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
-from repro.graph.sharded import ShardedCSR
 from repro.sim.checkpoint import CheckpointPolicy, load_checkpoint
 from repro.sim.faults import FaultPlan
-from repro.sim.kernels import resolve_backend
 from repro.sim.mp_engine import MultiProcessOneToManyEngine
 from repro.sim.tracing import recorders_from_observers
 from repro.telemetry import finish_run_telemetry, run_tracer
@@ -108,37 +106,16 @@ def run_one_to_many_mp(
     recorders = recorders_from_observers(config.observers, "mp")
     tracer = run_tracer(config.telemetry, config.trace_out, lane="coordinator")
     # the coordinator builds the CSR and the shards on the run's backend
-    backend = resolve_backend(config.backend)
-    if isinstance(graph, CSRGraph):
-        if assignment is None:
-            raise ConfigurationError(
-                "a prebuilt CSRGraph carries no placement policy input; "
-                "pass an explicit assignment (from repro.core.assignment."
-                "assign on the source Graph)"
-            )
-        csr = graph
-    else:
-        if assignment is None:
-            assignment = assign(
-                graph, config.num_hosts, policy=config.policy,
-                seed=config.seed,
-            )
-        csr = CSRGraph.from_graph(graph, backend=backend)
-    sharded = ShardedCSR(csr, assignment, backend)
-
-    num_nodes = csr.num_nodes
+    sharded, assignment, max_rounds, strict = shard_for_run(
+        graph, config, assignment
+    )
+    num_nodes = sharded.csr.num_nodes
     workers = assignment.num_hosts
-    max_rounds = config.max_rounds
-    strict = config.strict
-    if config.fixed_rounds is not None:
-        max_rounds = config.fixed_rounds
-        strict = False
     algorithm = f"one-to-many/{config.communication}/{assignment.policy}-mp"
     engine = MultiProcessOneToManyEngine(
         sharded,
         communication=config.communication,
         mode=config.mode,
-        seed=config.seed,
         p2p_filter=config.p2p_filter,
         max_rounds=max_rounds,
         strict=strict,
@@ -169,20 +146,7 @@ def run_one_to_many_mp(
         )
     stats = engine.run()
 
-    estimates_sent = engine.estimates_sent_total()
-    stats.extra["estimates_sent_total"] = estimates_sent
-    stats.extra["estimates_sent_per_node"] = (
-        estimates_sent / num_nodes if num_nodes else 0.0
-    )
-    stats.extra["num_hosts"] = workers
-    stats.extra["cut_edges"] = sharded.cut_edges
-    stats.extra["workers"] = workers
-    stats.extra["start_method"] = engine.start_method
-    stats.extra["pipe_bytes_total"] = engine.pipe_bytes_total
-    stats.extra["pipe_bytes_per_round"] = list(engine.pipe_bytes_per_round)
-    stats.extra["shard_payload_bytes"] = list(engine.shard_payload_bytes)
-    _export_transport_extra(stats, engine, assignment)
-    _export_recovery_extra(stats, engine)
+    _export_fleet_extra(stats, engine, assignment)
     finish_run_telemetry(tracer, config.trace_out, stats)
     return DecompositionResult(
         coreness=engine.coreness(),
@@ -191,15 +155,24 @@ def run_one_to_many_mp(
     )
 
 
-def _export_transport_extra(stats, engine, assignment) -> None:
-    """Shm-transport and refined-placement telemetry (when in play).
+def _export_fleet_extra(stats, engine, assignment) -> None:
+    """``stats.extra`` of an mp run, fresh or resumed.
 
-    ``transport`` is always exported (which lane moved the estimates is
-    part of what executed); the shm byte/overflow counters only when the
-    shm transport ran, and ``cut_edges_after_refine`` only when the
-    placement came from ``policy="refined"`` — mirroring the metric
-    registry's source annotations.
+    The flat path's Figure-5 and partition keys, plus the fleet's
+    transport and fault-tolerance telemetry. ``transport`` is always exported
+    (which lane moved the estimates is part of what executed); the shm
+    byte/overflow counters only when the shm transport ran, and
+    ``cut_edges_after_refine`` only when the placement came from
+    ``policy="refined"`` — matching the metric registry's source
+    annotations. A resumed fleet passes no ``assignment``: the
+    refined-cut gauge belongs to the original run's export.
     """
+    export_partition_extra(stats, engine, engine.sharded)
+    stats.extra["workers"] = engine.sharded.num_hosts
+    stats.extra["start_method"] = engine.start_method
+    stats.extra["pipe_bytes_total"] = engine.pipe_bytes_total
+    stats.extra["pipe_bytes_per_round"] = list(engine.pipe_bytes_per_round)
+    stats.extra["shard_payload_bytes"] = list(engine.shard_payload_bytes)
     stats.extra["transport"] = engine.transport
     if engine.transport == "shm":
         stats.extra["shm_bytes_total"] = engine.shm_bytes_total
@@ -207,10 +180,7 @@ def _export_transport_extra(stats, engine, assignment) -> None:
         stats.extra["shm_overflow_batches"] = engine.shm_overflow_batches
     if assignment is not None and assignment.policy == "refined":
         stats.extra["cut_edges_after_refine"] = stats.extra["cut_edges"]
-
-
-def _export_recovery_extra(stats, engine) -> None:
-    """Fault-tolerance telemetry, present whenever it could be nonzero."""
+    # fault-tolerance telemetry, present whenever it could be nonzero
     if (
         engine.checkpoint is not None
         or engine.fault_plan is not None
@@ -273,24 +243,7 @@ def resume_from_checkpoint(
     engine._resume = ckpt
     stats = engine.run()
 
-    num_nodes = sharded.csr.num_nodes
-    workers = sharded.num_hosts
-    estimates_sent = engine.estimates_sent_total()
-    stats.extra["estimates_sent_total"] = estimates_sent
-    stats.extra["estimates_sent_per_node"] = (
-        estimates_sent / num_nodes if num_nodes else 0.0
-    )
-    stats.extra["num_hosts"] = workers
-    stats.extra["cut_edges"] = sharded.cut_edges
-    stats.extra["workers"] = workers
-    stats.extra["start_method"] = engine.start_method
-    stats.extra["pipe_bytes_total"] = engine.pipe_bytes_total
-    stats.extra["pipe_bytes_per_round"] = list(engine.pipe_bytes_per_round)
-    stats.extra["shard_payload_bytes"] = list(engine.shard_payload_bytes)
-    # a resumed fleet has no Assignment object; the refined-cut gauge
-    # belongs to the original run's export
-    _export_transport_extra(stats, engine, None)
-    _export_recovery_extra(stats, engine)
+    _export_fleet_extra(stats, engine, None)
     finish_run_telemetry(tracer, trace_out, stats)
     return DecompositionResult(
         coreness=engine.coreness(),

@@ -7,38 +7,21 @@ adjacency visit chases a dict of tuples, every internal cascade step
 pays set/dict bookkeeping, and every host-to-host message allocates a
 ``(sender, payload)`` tuple plus a list of pairs. This module is the
 specialised counterpart, in the mould of
-:mod:`repro.sim.flat_engine`: it hard-codes the host protocol over a
-:class:`~repro.graph.sharded.ShardedCSR` and keeps all protocol state
-in flat per-shard arrays —
-
-* ``est[u]`` — one array per shard covering ``V(x) ∪ neighborV(x)`` in
-  the shard's local index space (owned nodes first, then the external
-  boundary — the paper deliberately stores both in one array, and here
-  that array is literal);
-* the internal cascade (``improveEstimate``, Algorithm 4) runs on the
-  shard-local CSR with the support-counter shortcut of the flat
-  one-to-one engines (``sup[u]`` tracks how many neighbours sit at or
-  above ``est[u]``, so ``computeIndex`` only runs when a drop can
-  actually lower the estimate);
-* host-to-host mailboxes reuse the mailbox-slot scheme of the flat
-  one-to-one engines, lifted from (node, node) edges to (host, host)
-  channels: a transmission appends ``(ext-slot, value)`` pairs into the
-  destination shard's slot/value lists — folding a mailbox is pure
-  array reads, and because estimates only decrease, sequential min-fold
-  over the pairs reproduces the object engine's fold of every pending
-  payload.
-
-Since PR 4 the seeding / cascade / mailbox-fold array work lives in the
-shared kernel layer (:mod:`repro.sim.kernels`): the engine orchestrates
-host activations, transmissions and statistics while a
-:class:`~repro.sim.kernels.base.KernelBackend` executes the per-shard
-batches. ``backend="stdlib"`` (default) is the canonical worklist;
-``backend="numpy"`` runs the cascade as vectorised Jacobi rounds of
-the same monotone operator — legitimate because the fixpoint, the
-changed-node set and the exact support counters are all
-schedule-independent (see below), and those are the only cascade
-outputs the protocol observes. Both modes and all three communication
-policies accept either backend.
+:mod:`repro.sim.flat_engine`: one
+:class:`~repro.sim.shard_runtime.ShardRuntime` per host of a
+:class:`~repro.graph.sharded.ShardedCSR` keeps that host's protocol
+state in flat arrays and runs its steps on a
+:class:`~repro.sim.kernels.base.KernelBackend`, and this engine keeps
+only the delivery: host-to-host mailboxes reuse the mailbox-slot scheme
+of the flat one-to-one engines, lifted from (node, node) edges to
+(host, host) channels — a transmission appends ``(ext-slot, value)``
+pairs into the destination host's slot/value lists, folding a mailbox
+is pure array reads, and because estimates only decrease, sequential
+min-fold over the pairs reproduces the object engine's fold of every
+pending payload. ``backend="stdlib"`` (default) runs the canonical
+worklist cascade; ``backend="numpy"`` runs it as vectorised Jacobi
+rounds of the same monotone operator. Both modes and all three
+communication policies accept either backend.
 
 **Semantics.** The engine is an exact replay of
 ``RoundEngine`` driving ``build_host_processes`` output, for both
@@ -84,7 +67,12 @@ from repro.errors import ConfigurationError, ConvergenceError
 from repro.graph.sharded import ShardedCSR
 from repro.sim.kernels import KernelBackend, export_send_counts, resolve_backend
 from repro.sim.metrics import SimulationStats
-from repro.sim.tracing import diff_round, reference_slice
+from repro.sim.shard_runtime import (
+    ShardRuntime,
+    check_communication,
+    record_shards,
+    shard_references,
+)
 from repro.telemetry.spans import resolve_tracer
 from repro.utils.rng import make_rng
 
@@ -144,7 +132,7 @@ class FlatOneToManyEngine:
         "estimates_sent",
         "tracer",
         "recorders",
-        "_est",
+        "_runtimes",
     )
 
     def __init__(
@@ -160,13 +148,7 @@ class FlatOneToManyEngine:
         telemetry: object = None,
         recorders: Sequence = (),
     ) -> None:
-        if communication not in ("broadcast", "p2p"):
-            raise ConfigurationError(
-                f"unknown communication policy {communication!r}; "
-                "options: ['broadcast', 'p2p']"
-            )
-        if p2p_filter and communication != "p2p":
-            raise ConfigurationError("p2p_filter requires the p2p policy")
+        check_communication(communication, p2p_filter)
         if mode not in ("peersim", "lockstep"):
             raise ConfigurationError(
                 f"unknown engine mode {mode!r}; the flat engine replays "
@@ -187,17 +169,16 @@ class FlatOneToManyEngine:
         # leave the replay loop untouched (see flat_engine)
         self.tracer = resolve_tracer(telemetry)
         self.recorders = list(recorders)
-        self._est: list = []
+        self._runtimes: list[ShardRuntime] = []
 
     # ------------------------------------------------------------------
     def coreness(self) -> dict[int, int]:
         """``{original node id: coreness}`` after :meth:`run`."""
         ids = self.sharded.csr.ids
         out: dict[int, int] = {}
-        for shard, est in zip(self.sharded.shards, self._est):
-            owned_global = shard.owned_global
-            for u in range(shard.n_owned):
-                out[ids[owned_global[u]]] = int(est[u])
+        for rt in self._runtimes:
+            for g, value in zip(rt.shard.owned_global, rt.owned()):
+                out[ids[g]] = value
         return out
 
     def estimates_sent_total(self) -> int:
@@ -207,50 +188,26 @@ class FlatOneToManyEngine:
     # ------------------------------------------------------------------
     def run(self) -> SimulationStats:
         """Run to quiescence (or ``max_rounds``); returns the stats."""
-        # deferred: importing at module scope closes a cycle through
-        # repro.sim.__init__ -> here -> core.one_to_many -> core.result
-        from repro.core.one_to_many import INFINITY_INT
-
         start = _time.perf_counter()
-        kb = self.backend
         stats = self.stats
         tracer = self.tracer
         recorders = self.recorders
-        sharded = self.sharded
-        shards = sharded.shards
-        num_hosts = sharded.num_hosts
+        num_hosts = self.sharded.num_hosts
         peersim = self.mode == "peersim"
-        broadcast = self.communication == "broadcast"
-        p2p_filter = self.p2p_filter
         rng = make_rng(self.seed) if peersim else None
-        scratch: list[int] = []
-
-        # per-shard graph arrays, adopted once by the backend
-        sh_offsets = [kb.graph_array(s.offsets) for s in shards]
-        sh_targets = [kb.graph_array(s.targets) for s in shards]
-        sh_watch_offsets = [kb.graph_array(s.watch_offsets) for s in shards]
-        sh_watch_targets = [kb.graph_array(s.watch_targets) for s in shards]
-
-        est_list = self._est = [
-            kb.full(s.n_owned + s.n_ext) for s in shards
+        runtimes = self._runtimes = [
+            ShardRuntime(
+                shard, self.backend, self.communication, self.p2p_filter,
+                tracer,
+            )
+            for shard in self.sharded.shards
         ]
-        # sup[u] — the support counter of the flat one-to-one engines,
-        # per shard: the number of u's neighbours (internal or external)
-        # whose estimate is >= est[u]. computeIndex lowers est[u] iff
-        # fewer than est[u] neighbours sit at >= est[u] (its suffix
-        # count test), so a neighbour's drop needs a recompute only when
-        # it pushes sup below est — every other cascade visit would
-        # return est[u] unchanged and is skipped. The kernels maintain
-        # the invariant exactly (recomputes re-read it from the suffix
-        # counts), so it is bit-identical across backends.
-        sup_list = [kb.full(s.n_owned) for s in shards]
-        changed_flag = [bytearray(s.n_owned) for s in shards]
-        changed_lists: list[list[int]] = [[] for _ in range(num_hosts)]
-        queued = [kb.worklist_flags(s.n_owned) for s in shards]
-        estimates_sent = self.estimates_sent = array("q", [0]) * num_hosts
+        if recorders:
+            for rt, refs in zip(
+                runtimes, shard_references(recorders, self.sharded)
+            ):
+                rt.enable_recording(refs)
         sent_msgs = array("q", [0]) * num_hosts
-        # p2p transmit scratch: per-destination counts + touched list
-        host_counts = array("q", [0]) * num_hosts
 
         # Mailboxes: parallel (ext-slot, value) lists per destination
         # host, plus an engine-message counter (the object engine's
@@ -270,207 +227,49 @@ class FlatOneToManyEngine:
         pending = 0
         sends = 0
 
-        # -- transmit (Algorithm 3's S / Algorithm 5's per-host subsets)
-        # NOTE: repro.sim.mp_engine._ShardWorker._emit is the
-        # per-process transcription of this closure (per-dest batches
-        # over queues instead of in-process buffer appends); any change
-        # to a policy branch or to the estimates_sent accounting here
-        # must be mirrored there — tests/test_mp_engine.py enforces the
-        # equivalence across the full grid
-        def emit(x: int, updates: list[tuple[int, int]]) -> None:
+        # -- transmit (Algorithm 3's S / Algorithm 5's per-host subsets):
+        # sequential appends in activation order reproduce the object
+        # engine's mailbox order
+        def deliver(x: int, updates: list[tuple[int, int]]) -> None:
             nonlocal pending, sends
-            shard = shards[x]
-            neighbor_hosts = shard.neighbor_hosts
-            if not updates or not neighbor_hosts:
-                # nothing "has to be sent to another host" (Figure 5)
+            if not updates:
                 return
-            deliver = shard.deliver
-            if broadcast:
-                # one transmission; every estimate counted once, every
-                # neighbour host receives a message (even an irrelevant
-                # one — only border pairs are actually delivered, the
-                # rest the object engine's fold would ignore anyway)
-                estimates_sent[x] += len(updates)
-                for u, k in updates:
-                    for y, s in deliver[u]:
-                        in_slots[y].append(s)
-                        in_vals[y].append(k)
-                for y in neighbor_hosts:
-                    in_msgs[y] += 1
-                count = len(neighbor_hosts)
-                sent_msgs[x] += count
-                pending += count
-                sends += count
-            elif not p2p_filter:
-                # per-destination subsets; a message exists only where
-                # the subset is non-empty, and each (estimate,
-                # destination) pair costs one overhead unit
-                touched: list[int] = []
-                for u, k in updates:
-                    for y, s in deliver[u]:
-                        in_slots[y].append(s)
-                        in_vals[y].append(k)
-                        c = host_counts[y]
-                        if not c:
-                            touched.append(y)
-                        host_counts[y] = c + 1
-                for y in touched:
-                    estimates_sent[x] += host_counts[y]
-                    host_counts[y] = 0
-                    in_msgs[y] += 1
-                    sent_msgs[x] += 1
-                    pending += 1
-                    sends += 1
-            else:
-                # the §3.1.2-style host-level filter consults this
-                # shard's stored external estimates per (node, host)
-                est = est_list[x]
-                n_owned = shard.n_owned
-                dest_slots = shard.dest_slots
-                for y in neighbor_hosts:
-                    dest_get = dest_slots[y].get
-                    remote = shard.remote_slots[y]
-                    slots = in_slots[y]
-                    vals = in_vals[y]
-                    count = 0
-                    for u, k in updates:
-                        s = dest_get(u)
-                        if s is None:  # u has no neighbour on y
-                            continue
-                        if not any(
-                            est[n_owned + t] > k for t in remote[u]
-                        ):
-                            continue
-                        slots.append(s)
-                        vals.append(k)
-                        count += 1
-                    if count:
-                        estimates_sent[x] += count
-                        in_msgs[y] += 1
-                        sent_msgs[x] += 1
-                        pending += 1
-                        sends += 1
-
-        # -- Algorithm 3 initialisation: degrees in, cascade, full send
-        def on_init(x: int) -> None:
-            shard = shards[x]
-            est = est_list[x]
-            n_owned = shard.n_owned
-            with tracer.span("kernel.seed_shard", host=x):
-                dirty = kb.seed_shard(
-                    sh_offsets[x], sh_targets[x], n_owned, shard.n_ext,
-                    INFINITY_INT, est, sup_list[x], queued[x],
-                )
-            if len(dirty):
-                with tracer.span("kernel.cascade", host=x):
-                    kb.cascade(
-                        sh_offsets[x], sh_targets[x], n_owned, est,
-                        sup_list[x], dirty, queued[x], changed_flag[x],
-                        changed_lists[x], scratch,
-                    )
-            # the initial message carries *all* owned estimates
             with tracer.span("emit", host=x):
-                emit(x, [(u, int(est[u])) for u in range(n_owned)])
-            flags = changed_flag[x]
-            for u in changed_lists[x]:
-                flags[u] = 0
-            changed_lists[x].clear()
+                batches = runtimes[x].route(updates)
+                for y, (slots, vals) in batches.items():
+                    in_slots[y].extend(slots)
+                    in_vals[y].extend(vals)
+                    in_msgs[y] += 1
+            count = len(batches)
+            sent_msgs[x] += count
+            pending += count
+            sends += count
 
-        # -- one activation: fold mailbox, cascade, transmit changes
+        # -- one activation: fold the mailbox, cascade, transmit changes
         def activate(x: int) -> None:
             nonlocal pending
-            shard = shards[x]
-            est = est_list[x]
-            n_owned = shard.n_owned
             msgs = mb_msgs[x]
-            if msgs:
-                pending -= msgs
-                mb_msgs[x] = 0
-                slots = mb_slots[x]
-                vals = mb_vals[x]
-                with tracer.span("kernel.fold_mailbox", host=x):
-                    dirty = kb.fold_mailbox(
-                        slots, vals, n_owned, est, sup_list[x],
-                        sh_watch_offsets[x], sh_watch_targets[x], queued[x],
-                    )
-                slots.clear()
-                vals.clear()
-                if len(dirty):
-                    with tracer.span("kernel.cascade", host=x):
-                        kb.cascade(
-                            sh_offsets[x], sh_targets[x], n_owned, est,
-                            sup_list[x], dirty, queued[x], changed_flag[x],
-                            changed_lists[x], scratch,
-                        )
-            clist = changed_lists[x]
-            if clist:
-                with tracer.span("emit", host=x):
-                    emit(x, [(u, int(est[u])) for u in clist])
-                flags = changed_flag[x]
-                for u in clist:
-                    flags[u] = 0
-                clist.clear()
+            if not msgs:
+                return
+            pending -= msgs
+            mb_msgs[x] = 0
+            slots = mb_slots[x]
+            vals = mb_vals[x]
+            updates = runtimes[x].activate(slots, vals)
+            slots.clear()
+            vals.clear()
+            deliver(x, updates)
 
-        # recorder state: per-shard prev copies of the owned estimates
-        # plus per-(shard, recorder) reference slices — allocated only
-        # when a recorder is attached
-        if recorders:
-            ids = sharded.csr.ids
-            prev_lists = [[-1] * s.n_owned for s in shards]
-            refs_by_shard = [
-                [
-                    reference_slice(
-                        rec.reference, [ids[g] for g in s.owned_global]
-                    )
-                    for rec in recorders
-                ]
-                for s in shards
-            ]
-
-        def record_round(round_number: int, round_sends: int) -> None:
-            changed = 0
-            errors: "list[int | None]" = [
-                0 if rec.reference is not None else None for rec in recorders
-            ]
-            for x in range(num_hosts):
-                shard_changed, shard_errors = diff_round(
-                    est_list[x], prev_lists[x], refs_by_shard[x]
-                )
-                changed += shard_changed
-                for j, err in enumerate(shard_errors):
-                    if err is not None:
-                        errors[j] += err
-            for rec, err in zip(recorders, errors):
-                rec.record(round_number, round_sends, changed, err)
-
-        # -- round 1: on_init in activation order. Under peersim the
-        # shuffle still runs (keeping the RNG stream aligned with the
-        # object engine) even though on_init never reads a mailbox.
+        # Round 1 runs Algorithm 3's initialisation in activation order.
+        # Under peersim the shuffle still runs (keeping the RNG stream
+        # aligned with the object engine) even though it reads no mail.
         base = list(range(num_hosts))
-        rnd = 1
-        if peersim:
-            order = base[:]
-            rng.shuffle(order)
-        else:
-            order = base
-        with tracer.span("round", round=1):
-            for x in order:
-                on_init(x)
-        stats.sends_per_round.append(sends)
-        if sends:
-            stats.execution_time += 1
-        if recorders:
-            record_round(rnd, sends)
-
-        while sends or pending:
-            if rnd >= self.max_rounds:
+        order = base
+        rnd = 0
+        while not rnd or sends or pending:
+            if rnd and rnd >= self.max_rounds:
                 stats.converged = False
-                stats.rounds_executed = rnd
-                export_send_counts(stats, sent_msgs)
-                stats.wall_seconds = _time.perf_counter() - start
-                if self.strict:
-                    raise ConvergenceError(rnd)
-                return stats
+                break
             rnd += 1
             sends = 0
             with tracer.span("round", round=rnd) as round_span:
@@ -485,15 +284,23 @@ class FlatOneToManyEngine:
                     mb_vals, in_vals = in_vals, mb_vals
                     mb_msgs, in_msgs = in_msgs, mb_msgs
                 for x in order:
-                    activate(x)
+                    if rnd == 1:
+                        deliver(x, runtimes[x].init())
+                    else:
+                        activate(x)
                 round_span.note(sends=sends)
             stats.sends_per_round.append(sends)
             if sends:
                 stats.execution_time += 1
             if recorders:
-                record_round(rnd, sends)
+                record_shards(
+                    recorders, rnd, sends, [rt.record_diff() for rt in runtimes]
+                )
 
         stats.rounds_executed = rnd
         export_send_counts(stats, sent_msgs)
+        self.estimates_sent = array("q", [rt.estimates_sent for rt in runtimes])
         stats.wall_seconds = _time.perf_counter() - start
+        if not stats.converged and self.strict:
+            raise ConvergenceError(rnd)
         return stats

@@ -3,9 +3,10 @@
 Every engine before this one simulates the paper's hosts inside a
 single Python process. This module is the first step from "fast
 simulation" to "actually distributed": it spawns **one OS process per
-:class:`~repro.graph.sharded.HostShard`**, each owning its shard's
-kernel state (estimate table, support counters, cascade worklists — on
-either :mod:`repro.sim.kernels` backend), with host-to-host estimate
+:class:`~repro.graph.sharded.HostShard`**, each running that shard's
+:class:`~repro.sim.shard_runtime.ShardRuntime` — the same per-host
+protocol steps the in-process flat engine runs, on either
+:mod:`repro.sim.kernels` backend — with host-to-host estimate
 batches carried over real ``multiprocessing`` channels and a
 coordinator (the parent process) driving lockstep barriers and the
 global termination check.
@@ -159,7 +160,12 @@ from repro.sim.shm_transport import (
     build_shm_layout,
     create_segments,
 )
-from repro.sim.tracing import diff_round, reference_slice
+from repro.sim.shard_runtime import (
+    ShardRuntime,
+    check_communication,
+    record_shards,
+    shard_references,
+)
 from repro.telemetry.merge import merge_worker_buffers
 from repro.telemetry.spans import NULL_TRACER, Tracer, resolve_tracer
 
@@ -220,51 +226,27 @@ class _WorkerLost(Exception):
 
 
 class _ShardWorker:
-    """One shard's protocol state inside its worker process.
-
-    A per-shard transcription of the :class:`FlatOneToManyEngine` round
-    body: ``on_init`` / ``activate`` run the identical kernel calls
-    (seed → cascade → emit, fold → cascade → emit) over this shard
-    only, and ``_emit`` routes the resulting ``(ext-slot, value)``
-    batches into the destination workers' inbox queues instead of
-    in-process lists.
+    """One shard's :class:`~repro.sim.shard_runtime.ShardRuntime` inside
+    its worker process, plus what only a worker needs: the round-tagged
+    receive path, snapshot/restore, the resend buffers, and the queue
+    or shm sends of the batches the runtime routes.
     """
 
     def __init__(
         self,
-        host: int,
         shard: HostShard,
-        num_hosts: int,
         communication: str,
         p2p_filter: bool,
         backend: str,
-        infinity: int,
         inboxes,
         resilient: bool = False,
         faults: "WorkerFaults | None" = None,
         tracer=NULL_TRACER,
     ) -> None:
-        kb = resolve_backend(backend)
-        self.kb = kb
-        self.host = host
-        self.shard = shard
-        self.num_hosts = num_hosts
-        self.broadcast = communication == "broadcast"
-        self.p2p_filter = p2p_filter
+        self.rt = ShardRuntime(
+            shard, resolve_backend(backend), communication, p2p_filter, tracer
+        )
         self.inboxes = inboxes
-        self.offsets = kb.graph_array(shard.offsets)
-        self.targets = kb.graph_array(shard.targets)
-        self.watch_offsets = kb.graph_array(shard.watch_offsets)
-        self.watch_targets = kb.graph_array(shard.watch_targets)
-        self.est = kb.full(shard.n_owned + shard.n_ext)
-        self.sup = kb.full(shard.n_owned)
-        self.queued = kb.worklist_flags(shard.n_owned)
-        self.changed_flag = bytearray(shard.n_owned)
-        self.changed_list: list[int] = []
-        self.scratch: list[int] = []
-        self.infinity = infinity
-        self.estimates_sent = 0
-        self.host_counts = array("q", [0]) * num_hosts  # p2p scratch
         self.resilient = resilient
         self.faults = faults
         #: batches that arrived early, keyed by their delivery round
@@ -291,41 +273,6 @@ class _ShardWorker:
         #: worker-local span buffer (pure observer; NULL_TRACER when
         #: telemetry is off, so the hot path pays one attribute lookup)
         self.tracer = tracer
-        #: TraceRecorder feeding state: reference slices over the owned
-        #: nodes and the previous round's values (None = not recording)
-        self.record_refs: "list[list[int] | None] | None" = None
-        self.record_prev: "list[int] | None" = None
-
-    def enable_recording(
-        self, refs: "list[list[int] | None]", restored: bool
-    ) -> None:
-        """Arm the per-round array diff shipped with the round reports.
-
-        ``prev`` after any recorded round equals the owned estimate
-        slice exactly (the diff copies every changed value), so a
-        restored worker reseeds it from the adopted snapshot's
-        estimates; a fresh worker seeds ``-1`` so round 1 counts every
-        node (the observer path's first-observation rule).
-        """
-        self.record_refs = refs
-        if restored:
-            est = self.est
-            self.record_prev = [int(est[u]) for u in range(self.shard.n_owned)]
-        else:
-            self.record_prev = [-1] * self.shard.n_owned
-
-    def record_diff(self) -> "tuple | None":
-        """One round's ``(changed, errors)`` aggregate, or ``None``."""
-        if self.record_refs is None:
-            return None
-        return diff_round(self.est, self.record_prev, self.record_refs)
-
-    def resync_record_prev(self) -> None:
-        """Re-align ``prev`` with the estimates after a recovery replay
-        (equivalent to having diffed every replayed round)."""
-        if self.record_prev is not None:
-            est = self.est
-            self.record_prev = [int(est[u]) for u in range(self.shard.n_owned)]
 
     def _inbox_get(self, inbox) -> bytes:
         """Receive one payload from this worker's inbox.
@@ -359,12 +306,13 @@ class _ShardWorker:
         tables, the overhead counter, the fold watermark and the held
         mailbox backlog are the *whole* state.
         """
+        rt = self.rt
         return pickle.dumps(
             (
                 self.folded_through,
-                self.est,
-                self.sup,
-                self.estimates_sent,
+                rt.est,
+                rt.sup,
+                rt.estimates_sent,
                 self.held,
             ),
             protocol=pickle.HIGHEST_PROTOCOL,
@@ -372,125 +320,55 @@ class _ShardWorker:
 
     def restore(self, blob: bytes) -> None:
         """Adopt a :meth:`snapshot` (same backend, per the manifest)."""
+        rt = self.rt
         (
             self.folded_through,
-            self.est,
-            self.sup,
-            self.estimates_sent,
+            rt.est,
+            rt.sup,
+            rt.estimates_sent,
             self.held,
         ) = pickle.loads(blob)
 
-    # -- transmit (Algorithm 3's S / Algorithm 5's per-host subsets),
-    # identical accounting to FlatOneToManyEngine.emit; returns
-    # (messages sent, {dest: 1}, pickled bytes, ring bytes, overflow
-    # batches) for the round report. ``transport=False`` (recovery
-    # replay) keeps every counter and the resend buffer exact but skips
-    # the physical queue puts / ring writes — the live fleet already
-    # received these batches.
-    def _emit(self, deliver_round: int, updates: list, transport: bool = True) -> tuple:
-        shard = self.shard
-        neighbor_hosts = shard.neighbor_hosts
-        if not updates or not neighbor_hosts:
-            # nothing "has to be sent to another host" (Figure 5)
+    # -- send one step's routed batches; returns (messages sent,
+    # {dest: 1}, pickled bytes, ring bytes, overflow batches) for the
+    # round report. ``transport=False`` (recovery replay) keeps every
+    # counter and the resend buffer exact but skips the physical queue
+    # puts / ring writes — the live fleet already received these
+    # batches.
+    def _send(self, deliver_round: int, batches: dict, transport: bool) -> tuple:
+        if not batches:
             return 0, {}, 0, 0, 0
-        deliver = shard.deliver
-        x = self.host
-        out_slots: dict[int, list[int]] = {}
-        out_vals: dict[int, list[int]] = {}
-        if self.broadcast:
-            # one transmission; every estimate counted once, every
-            # neighbour host receives a message (even an empty one —
-            # only border pairs are delivered, as in the flat engine)
-            self.estimates_sent += len(updates)
-            for u, k in updates:
-                for y, s in deliver[u]:
-                    out_slots.setdefault(y, []).append(s)
-                    out_vals.setdefault(y, []).append(k)
-            dests = neighbor_hosts
-        elif not self.p2p_filter:
-            # per-destination subsets; a message exists only where the
-            # subset is non-empty, one overhead unit per (estimate,
-            # destination) pair
-            host_counts = self.host_counts
-            touched: list[int] = []
-            for u, k in updates:
-                for y, s in deliver[u]:
-                    out_slots.setdefault(y, []).append(s)
-                    out_vals.setdefault(y, []).append(k)
-                    c = host_counts[y]
-                    if not c:
-                        touched.append(y)
-                    host_counts[y] = c + 1
-            for y in touched:
-                self.estimates_sent += host_counts[y]
-                host_counts[y] = 0
-            dests = touched
-        else:
-            # the §3.1.2-style host-level filter over stored externals
-            est = self.est
-            n_owned = shard.n_owned
-            dest_slots = shard.dest_slots
-            dests = []
-            for y in neighbor_hosts:
-                dest_get = dest_slots[y].get
-                remote = shard.remote_slots[y]
-                slots: list[int] = []
-                vals: list[int] = []
-                for u, k in updates:
-                    s = dest_get(u)
-                    if s is None:  # u has no neighbour on y
-                        continue
-                    if not any(est[n_owned + t] > k for t in remote[u]):
-                        continue
-                    slots.append(s)
-                    vals.append(k)
-                if slots:
-                    self.estimates_sent += len(slots)
-                    out_slots[y] = slots
-                    out_vals[y] = vals
-                    dests.append(y)
-        per_dest: dict[int, int] = {}
-        nbytes = 0
+        x = self.rt.host
         inboxes = self.inboxes
-        faults = self.faults
+        resend = self.resend if self.resilient else None
         mailbox = self.mailbox
+        nbytes = 0
+        shm_nbytes = 0
+        overflow = 0
         if mailbox is None:
-            with self.tracer.span("emit.serialize", dests=len(dests)) as span:
-                for y in dests:
+            with self.tracer.span("emit.serialize", dests=len(batches)) as span:
+                for y, (slots, vals) in batches.items():
                     payload = pickle.dumps(
-                        (deliver_round, x, out_slots.get(y, ()), out_vals.get(y, ())),
+                        (deliver_round, x, slots, vals),
                         protocol=pickle.HIGHEST_PROTOCOL,
                     )
                     nbytes += len(payload)
-                    if self.resilient:
-                        self.resend.setdefault(y, []).append((deliver_round, payload))
-                    if transport:
-                        # the emitting round is deliver_round - 1 (lockstep)
-                        if (
-                            faults is None
-                            or faults.on_transport(deliver_round - 1, y) != "drop"
-                        ):
-                            inboxes[y].put(payload)
-                    per_dest[y] = 1
+                    if resend is not None:
+                        resend.setdefault(y, []).append((deliver_round, payload))
+                    if self._goes_out(transport, deliver_round, y):
+                        inboxes[y].put(payload)
                 span.note(nbytes=nbytes)
-            return len(dests), per_dest, nbytes, 0, 0
-        # shm transport: write each batch straight into the destination
-        # ring; a batch over its ring's capacity takes the pickled
-        # overflow lane over the same queue the queue transport uses
-        shm_nbytes = 0
-        overflow = 0
-        with self.tracer.span("emit.shm_write", dests=len(dests)) as span:
-            for y in dests:
-                slots = out_slots.get(y, ())
-                vals = out_vals.get(y, ())
-                if self.resilient:
-                    self.resend.setdefault(y, []).append(
-                        (deliver_round, slots, vals)
-                    )
-                if transport and (
-                    faults is None
-                    or faults.on_transport(deliver_round - 1, y) != "drop"
-                ):
+        else:
+            # shm transport: write each batch straight into the
+            # destination ring; a batch over its ring's capacity takes
+            # the pickled overflow lane over the same queue the queue
+            # transport uses
+            with self.tracer.span("emit.shm_write", dests=len(batches)) as span:
+                for y, (slots, vals) in batches.items():
+                    if resend is not None:
+                        resend.setdefault(y, []).append((deliver_round, slots, vals))
+                    if not self._goes_out(transport, deliver_round, y):
+                        continue
                     written = mailbox.write(y, deliver_round, slots, vals)
                     if written is None:
                         payload = pickle.dumps(
@@ -502,9 +380,17 @@ class _ShardWorker:
                         inboxes[y].put(payload)
                     else:
                         shm_nbytes += written
-                per_dest[y] = 1
-            span.note(nbytes=shm_nbytes, overflow=overflow)
-        return len(dests), per_dest, nbytes, shm_nbytes, overflow
+                span.note(nbytes=shm_nbytes, overflow=overflow)
+        return len(batches), dict.fromkeys(batches, 1), nbytes, shm_nbytes, overflow
+
+    def _goes_out(self, transport: bool, deliver_round: int, y: int) -> bool:
+        """Whether a batch is physically sent: not in a replay, and not
+        dropped by a scripted fault (it was emitted in round
+        ``deliver_round - 1`` — lockstep)."""
+        faults = self.faults
+        return transport and (
+            faults is None or faults.on_transport(deliver_round - 1, y) != "drop"
+        )
 
     def prune_resend(self, through_round: int) -> None:
         """Drop buffered payloads a post-checkpoint replay cannot need."""
@@ -515,79 +401,32 @@ class _ShardWorker:
             else:
                 del self.resend[y]
 
-    # -- Algorithm 3 initialisation: degrees in, cascade, full send
+    # -- round 1: Algorithm 3 initialisation, full send
     def on_init(self, deliver_round: int, transport: bool = True) -> tuple:
-        shard = self.shard
-        est = self.est
-        n_owned = shard.n_owned
-        with self.tracer.span("kernel.seed_shard"):
-            dirty = self.kb.seed_shard(
-                self.offsets, self.targets, n_owned, shard.n_ext,
-                self.infinity, est, self.sup, self.queued,
-            )
-        if len(dirty):
-            with self.tracer.span("kernel.cascade"):
-                self.kb.cascade(
-                    self.offsets, self.targets, n_owned, est, self.sup,
-                    dirty, self.queued, self.changed_flag, self.changed_list,
-                    self.scratch,
-                )
-        # the initial message carries *all* owned estimates
-        report = self._emit(
-            deliver_round, [(u, int(est[u])) for u in range(n_owned)],
-            transport=transport,
-        )
-        flags = self.changed_flag
-        for u in self.changed_list:
-            flags[u] = 0
-        self.changed_list.clear()
-        return report
+        rt = self.rt
+        return self._send(deliver_round, rt.route(rt.init()), transport)
 
     # -- one activation: fold the round's mail, cascade, transmit
     def activate(
         self, deliver_round: int, batches: list, transport: bool = True
     ) -> tuple:
-        shard = self.shard
-        est = self.est
-        n_owned = shard.n_owned
-        if batches:
-            # restore the flat engine's mailbox order: senders append
-            # in activation (pid) order, one batch per sender per round
-            batches.sort(key=lambda b: b[1])
-            slots: list[int] = []
-            vals: list[int] = []
-            for _rnd, _sender, bslots, bvals in batches:
-                slots.extend(bslots)
-                vals.extend(bvals)
-            with self.tracer.span("kernel.fold_mailbox", batches=len(batches)):
-                dirty = self.kb.fold_mailbox(
-                    slots, vals, n_owned, est, self.sup,
-                    self.watch_offsets, self.watch_targets, self.queued,
-                )
-            if len(dirty):
-                with self.tracer.span("kernel.cascade"):
-                    self.kb.cascade(
-                        self.offsets, self.targets, n_owned, est, self.sup,
-                        dirty, self.queued, self.changed_flag,
-                        self.changed_list, self.scratch,
-                    )
-        clist = self.changed_list
-        if not clist:
-            return 0, {}, 0, 0, 0
-        report = self._emit(
-            deliver_round, [(u, int(est[u])) for u in clist],
-            transport=transport,
+        # restore the flat engine's mailbox order: senders append in
+        # activation (pid) order, one batch per sender per round
+        batches.sort(key=lambda b: b[1])
+        slots: list[int] = []
+        vals: list[int] = []
+        for _rnd, _sender, bslots, bvals in batches:
+            slots.extend(bslots)
+            vals.extend(bvals)
+        rt = self.rt
+        return self._send(
+            deliver_round, rt.route(rt.activate(slots, vals)), transport
         )
-        flags = self.changed_flag
-        for u in clist:
-            flags[u] = 0
-        clist.clear()
-        return report
 
     # ------------------------------------------------------------------
     # receive path: round-tagged, held-back, deduplicated
     # ------------------------------------------------------------------
-    def pull(self, inbox, rnd: int, expect: int) -> list:
+    def receive(self, inbox, rnd: int, expect: int, fold: bool = True) -> list:
         """Collect the ``expect`` distinct round-``rnd`` batches.
 
         Early mail for later rounds is held back; mail for rounds
@@ -602,13 +441,21 @@ class _ShardWorker:
         block — and the queue loop then covers only the residue:
         overflow batches and recovery re-sends. The per-sender dedupe
         spans both sources, so a re-send duplicating a ring batch (or
-        a checkpoint backlog) is discarded exactly like before.
+        a checkpoint backlog) is discarded.
+
+        ``fold=False`` is the checkpoint barrier's drain: the batches
+        stay in the backlog instead of being returned for folding, so
+        a snapshot carries every in-flight batch and is self-contained
+        — afterwards the queues are empty, and no in-flight mail lives
+        only in a segment a whole-fleet resume would re-create.
         """
         held = self.held
         batches = held.pop(rnd, [])
         mailbox = self.mailbox
+        # the checkpoint drain runs outside any round and stays untraced
+        tracer = self.tracer if fold else NULL_TRACER
         if mailbox is not None and len(batches) < expect:
-            with self.tracer.span("mail.shm_read", round=rnd) as span:
+            with tracer.span("mail.shm_read", round=rnd) as span:
                 found = 0
                 for sender, slots, vals in mailbox.read(rnd):
                     if any(b[1] == sender for b in batches):
@@ -626,45 +473,11 @@ class _ShardWorker:
             if any(b[1] == sender for b in bucket):
                 continue  # duplicate within the round (recovery re-send)
             bucket.append(msg)
-        self.folded_through = rnd
+        if fold:
+            self.folded_through = rnd
+        elif batches:
+            held[rnd] = batches
         return batches
-
-    def absorb(self, inbox, rnd: int, expect: int) -> None:
-        """Drain the ``expect`` round-``rnd`` batches into the backlog.
-
-        The checkpoint barrier uses this so a snapshot carries every
-        in-flight batch — afterwards the queues are empty and the
-        snapshot is self-contained. On the shm transport the ring is
-        drained into the backlog first (same dedupe as :meth:`pull`):
-        in-flight mail must live in the snapshot, not in a segment a
-        whole-fleet resume would re-create from scratch.
-        """
-        held = self.held
-        bucket = held.setdefault(rnd, [])
-        mailbox = self.mailbox
-        if mailbox is not None and len(bucket) < expect:
-            for sender, slots, vals in mailbox.read(rnd):
-                if any(b[1] == sender for b in bucket):
-                    continue
-                bucket.append((rnd, sender, slots, vals))
-        while len(bucket) < expect:
-            msg = pickle.loads(self._inbox_get(inbox))
-            r = msg[0]
-            if r <= self.folded_through:
-                continue
-            dest = bucket if r == rnd else held.setdefault(r, [])
-            sender = msg[1]
-            if any(b[1] == sender for b in dest):
-                continue
-            dest.append(msg)
-        if not bucket:
-            del held[rnd]
-
-    def result(self) -> tuple:
-        """Final per-shard payload: owned estimates + Figure-5 count."""
-        est = self.est
-        owned = [int(est[u]) for u in range(self.shard.n_owned)]
-        return owned, self.estimates_sent
 
 
 def _die(inboxes, host: int) -> None:
@@ -694,11 +507,9 @@ def _die(inboxes, host: int) -> None:
 def _worker_main(
     host: int,
     shard_blob: bytes,
-    num_hosts: int,
     communication: str,
     p2p_filter: bool,
     backend: str,
-    infinity: int,
     conn,
     inbox,
     inboxes,
@@ -746,18 +557,18 @@ def _worker_main(
         faults = pickle.loads(faults_blob) if faults_blob else None
         tracer = Tracer(lane=f"worker-{host}") if telemetry else NULL_TRACER
         worker = _ShardWorker(
-            host, pickle.loads(shard_blob), num_hosts, communication,
-            p2p_filter, backend, infinity, inboxes,
-            resilient=resilient, faults=faults, tracer=tracer,
+            pickle.loads(shard_blob), communication, p2p_filter, backend,
+            inboxes, resilient=resilient, faults=faults, tracer=tracer,
         )
+        rt = worker.rt
         if shm_info is not None:
             names, layout = shm_info
-            mailbox = attach_mailbox(worker.kb, layout, names, host)
+            mailbox = attach_mailbox(rt.kb, layout, names, host)
             worker.mailbox = mailbox
         if restore_blob is not None:
             worker.restore(restore_blob)
         if record_blob is not None:
-            worker.enable_recording(
+            rt.enable_recording(
                 pickle.loads(record_blob), restored=restore_blob is not None
             )
         while True:
@@ -773,25 +584,25 @@ def _worker_main(
                     _die(inboxes, host)
                 if faults:
                     faults.stall_before_report(1)
-                conn.send(("done",) + report + (worker.record_diff(),))
+                conn.send(("done",) + report + (rt.record_diff(),))
             elif op == _STEP:
                 rnd, expect = cmd[1], cmd[2]
                 if faults and faults.kill_now(rnd, "start"):
                     _die(inboxes, host)
                 with tracer.span("round", round=rnd) as round_span:
                     with tracer.span("mail.pull", round=rnd, expect=expect):
-                        batches = worker.pull(inbox, rnd, expect)
+                        batches = worker.receive(inbox, rnd, expect)
                     report = worker.activate(rnd + 1, batches)
                     round_span.note(sends=report[0])
                 if faults and faults.kill_now(rnd, "after_emit"):
                     _die(inboxes, host)
                 if faults:
                     faults.stall_before_report(rnd)
-                conn.send(("done",) + report + (worker.record_diff(),))
+                conn.send(("done",) + report + (rt.record_diff(),))
             elif op == _CHECKPOINT:
                 rnd, expect = cmd[1], cmd[2]
                 with tracer.span("checkpoint.snapshot", round=rnd):
-                    worker.absorb(inbox, rnd + 1, expect)
+                    worker.receive(inbox, rnd + 1, expect, fold=False)
                     worker.prune_resend(rnd)
                     blob = worker.snapshot()
                 conn.send(("ckpt", blob))
@@ -829,14 +640,14 @@ def _worker_main(
                                 worker.folded_through, 1
                             )
                         else:
-                            batches = worker.pull(inbox, rnd, expect)
+                            batches = worker.receive(inbox, rnd, expect)
                             worker.activate(rnd + 1, batches, transport=False)
-                    worker.resync_record_prev()
+                    rt.resync_record_prev()
                 conn.send(("replayed",))
             elif op == _TELEMETRY:
                 conn.send(("telemetry", tracer.events()))
             elif op == _FINISH:
-                conn.send(("result",) + worker.result())
+                conn.send(("result", rt.owned(), rt.estimates_sent))
             elif op == _EXIT:
                 break
             else:  # pragma: no cover - defensive
@@ -940,7 +751,6 @@ class MultiProcessOneToManyEngine:
         sharded: ShardedCSR,
         communication: str = "broadcast",
         mode: str = "lockstep",
-        seed: "int | None" = 0,
         p2p_filter: bool = False,
         max_rounds: int = 1_000_000,
         strict: bool = True,
@@ -955,13 +765,7 @@ class MultiProcessOneToManyEngine:
         telemetry: object = None,
         recorders=(),
     ) -> None:
-        if communication not in ("broadcast", "p2p"):
-            raise ConfigurationError(
-                f"unknown communication policy {communication!r}; "
-                "options: ['broadcast', 'p2p']"
-            )
-        if p2p_filter and communication != "p2p":
-            raise ConfigurationError("p2p_filter requires the p2p policy")
+        check_communication(communication, p2p_filter)
         if mode != "lockstep":
             raise ConfigurationError(
                 f"engine='mp' cannot replay mode={mode!r}: peersim "
@@ -1019,7 +823,6 @@ class MultiProcessOneToManyEngine:
         self.sharded = sharded
         self.communication = communication
         self.mode = mode
-        self.seed = seed  # accepted for signature parity; lockstep never draws
         self.p2p_filter = p2p_filter
         self.max_rounds = max_rounds
         self.strict = strict
@@ -1123,9 +926,8 @@ class MultiProcessOneToManyEngine:
         proc = self._ctx.Process(
             target=_worker_main,
             args=(
-                x, blob, self.sharded.num_hosts, self.communication,
-                self.p2p_filter, self.backend_name, self._infinity,
-                child_conn, self._inboxes[x], self._inboxes,
+                x, blob, self.communication, self.p2p_filter,
+                self.backend_name, child_conn, self._inboxes[x], self._inboxes,
                 self.resilient, faults_blob, restore_blob,
                 self.tracer.enabled,
                 None if self._record_blobs is None else self._record_blobs[x],
@@ -1320,31 +1122,23 @@ class MultiProcessOneToManyEngine:
         return reports
 
     # ------------------------------------------------------------------
-    def _write_checkpoint(
-        self, rnd, expect, sends, pending, sent_msgs, pipe_bytes
-    ) -> None:
+    def _checkpoint(self, rnd, expect, sends, pending, sent_msgs) -> None:
         """The checkpoint barrier: drain, snapshot, commit atomically."""
         num_hosts = self.sharded.num_hosts
         with self.tracer.span("checkpoint.commit", round=rnd):
-            self._checkpoint_barrier(rnd, expect, sends, pending, sent_msgs,
-                                     pipe_bytes)
-
-    def _checkpoint_barrier(
-        self, rnd, expect, sends, pending, sent_msgs, pipe_bytes
-    ) -> None:
-        num_hosts = self.sharded.num_hosts
-        for x in range(num_hosts):
-            self._conns[x].send((_CHECKPOINT, rnd, expect[x]))
-        blobs: list[bytes] = []
-        for x in range(num_hosts):
-            reply = self._recv(x, rnd)
-            blobs.append(reply[1])
-        self._ckpt_round = rnd
-        self._ckpt_blobs = blobs
-        # replay never reaches further back than the checkpoint round
-        for k in [k for k in self._expect_hist if k <= rnd]:
-            del self._expect_hist[k]
-        if self._ckpt_writer is not None:
+            for x in range(num_hosts):
+                self._conns[x].send((_CHECKPOINT, rnd, expect[x]))
+            blobs: list[bytes] = []
+            for x in range(num_hosts):
+                reply = self._recv(x, rnd)
+                blobs.append(reply[1])
+            self._ckpt_round = rnd
+            self._ckpt_blobs = blobs
+            # replay never reaches further back than the checkpoint round
+            for k in [k for k in self._expect_hist if k <= rnd]:
+                del self._expect_hist[k]
+            if self._ckpt_writer is None:
+                return
             coordinator = {
                 "rnd": rnd,
                 "expect": list(expect),
@@ -1353,7 +1147,7 @@ class MultiProcessOneToManyEngine:
                 "sends_per_round": list(self.stats.sends_per_round),
                 "execution_time": self.stats.execution_time,
                 "sent_msgs": list(sent_msgs),
-                "pipe_bytes_per_round": list(pipe_bytes),
+                "pipe_bytes_per_round": list(self.pipe_bytes_per_round),
                 "shm_bytes_per_round": list(self.shm_bytes_per_round),
                 "shm_overflow_batches": self.shm_overflow_batches,
                 "recoveries": list(self.recoveries),
@@ -1430,17 +1224,57 @@ class MultiProcessOneToManyEngine:
         self._shm_segments = []
 
     # ------------------------------------------------------------------
+    def _run_round(self, rnd: int, expect: list[int], sent_msgs) -> tuple:
+        """Dispatch round ``rnd``, collect its barrier, fold the reports.
+
+        Round 1 is Algorithm 3's initialisation everywhere (lockstep
+        has no intra-round delivery, so the barrier is the only order);
+        a later round has worker ``x`` fold ``expect[x]`` batches.
+        Returns the round's sends and the per-worker batch counts the
+        next round expects.
+        """
+        num_hosts = self.sharded.num_hosts
+        stats = self.stats
+        self._expect_hist[rnd] = list(expect)
+        with self.tracer.span("round", round=rnd) as round_span:
+            for x in range(num_hosts):
+                self._conns[x].send(
+                    (_INIT, 2) if rnd == 1 else (_STEP, rnd, expect[x])
+                )
+            reports = self._round_barrier(rnd)
+            sends = 0
+            round_bytes = 0
+            round_shm = 0
+            expect = [0] * num_hosts
+            for x in range(num_hosts):
+                _tag, sent, per_dest, nbytes, shm_nb, over, _diff = reports[x]
+                sends += sent
+                sent_msgs[x] += sent
+                round_bytes += nbytes
+                round_shm += shm_nb
+                self.shm_overflow_batches += over
+                for y, count in per_dest.items():
+                    expect[y] += count
+            round_span.note(sends=sends)
+        stats.sends_per_round.append(sends)
+        self.pipe_bytes_per_round.append(round_bytes)
+        self.shm_bytes_per_round.append(round_shm)
+        if sends:
+            stats.execution_time += 1
+        if self.recorders:
+            record_shards(
+                self.recorders, rnd, sends,
+                [reports[x][6] for x in range(num_hosts)],
+            )
+        return sends, expect
+
     def run(self) -> SimulationStats:
         """Run to quiescence (or ``max_rounds``); returns the stats."""
-        # deferred for the same import-cycle reason as the flat engine
-        from repro.core.one_to_many import INFINITY_INT
-
         start = _time.perf_counter()
         stats = self.stats
         sharded = self.sharded
         num_hosts = sharded.num_hosts
         self._ctx = mp.get_context(self.start_method)
-        self._infinity = INFINITY_INT
 
         self._inboxes: list = []
         self._conns = []
@@ -1454,43 +1288,17 @@ class MultiProcessOneToManyEngine:
 
         resume = self._resume
         sent_msgs = array("q", [0]) * num_hosts
-        pipe_bytes = self.pipe_bytes_per_round = []
-        shm_bytes = self.shm_bytes_per_round = []
+        self.pipe_bytes_per_round = []
+        self.shm_bytes_per_round = []
         all_hosts = range(num_hosts)
         tracer = self.tracer
-        recorders = self.recorders
-        if recorders:
+        if self.recorders:
             # reference slices per worker, pickled once — workers diff
             # their owned slice per round and ship the aggregates
-            ids = sharded.csr.ids
             self._record_blobs = [
-                pickle.dumps(
-                    [
-                        reference_slice(
-                            rec.reference, [ids[g] for g in shard.owned_global]
-                        )
-                        for rec in recorders
-                    ],
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-                for shard in sharded.shards
+                pickle.dumps(refs, protocol=pickle.HIGHEST_PROTOCOL)
+                for refs in shard_references(self.recorders, sharded)
             ]
-
-        def record_round(rnd: int, sends: int, reports: dict) -> None:
-            if not recorders:
-                return
-            changed = 0
-            errors: "list[int | None]" = [
-                0 if rec.reference is not None else None for rec in recorders
-            ]
-            for x in all_hosts:
-                shard_changed, shard_errors = reports[x][6]
-                changed += shard_changed
-                for j, err in enumerate(shard_errors):
-                    if err is not None:
-                        errors[j] += err
-            for rec, err in zip(recorders, errors):
-                rec.record(rnd, sends, changed, err)
 
         rnd = 0
         try:
@@ -1532,6 +1340,9 @@ class MultiProcessOneToManyEngine:
                     pickle.dumps(sharded, protocol=pickle.HIGHEST_PROTOCOL)
                 )
 
+            expect = [0] * num_hosts
+            sends = 0
+            pending = 0
             if resume is not None:
                 # -- adopt the manifest's loop state; the workers'
                 # snapshots already hold the drained mailbox backlog,
@@ -1545,92 +1356,29 @@ class MultiProcessOneToManyEngine:
                 stats.execution_time = co["execution_time"]
                 for x, count in enumerate(co["sent_msgs"]):
                     sent_msgs[x] = count
-                pipe_bytes.extend(co["pipe_bytes_per_round"])
-                shm_bytes.extend(co.get("shm_bytes_per_round", ()))
+                self.pipe_bytes_per_round.extend(co["pipe_bytes_per_round"])
+                self.shm_bytes_per_round.extend(
+                    co.get("shm_bytes_per_round", ())
+                )
                 self.shm_overflow_batches = co.get("shm_overflow_batches", 0)
                 self.recoveries.extend(co.get("recoveries", ()))
                 self.resumed_from_round = rnd
                 self._ckpt_round = rnd
                 self._ckpt_blobs = list(resume.worker_blobs)
-            else:
-                # -- round 1: Algorithm 3 on_init everywhere (lockstep
-                # has no intra-round delivery, so the barrier is the
-                # only order)
-                rnd = 1
-                self._expect_hist[1] = [0] * num_hosts
-                with tracer.span("round", round=1) as round_span:
-                    for x in all_hosts:
-                        self._conns[x].send((_INIT, rnd + 1))
-                    sends = 0
-                    round_bytes = 0
-                    round_shm = 0
-                    expect = [0] * num_hosts  # per-dest counts, next round
-                    reports = self._round_barrier(rnd)
-                    for x in all_hosts:
-                        _tag, sent, per_dest, nbytes, shm_nb, over = (
-                            reports[x][:6]
-                        )
-                        sends += sent
-                        sent_msgs[x] += sent
-                        round_bytes += nbytes
-                        round_shm += shm_nb
-                        self.shm_overflow_batches += over
-                        for y, count in per_dest.items():
-                            expect[y] += count
-                    round_span.note(sends=sends)
-                pending = sends
-                stats.sends_per_round.append(sends)
-                pipe_bytes.append(round_bytes)
-                shm_bytes.append(round_shm)
-                if sends:
-                    stats.execution_time += 1
-                record_round(rnd, sends, reports)
-                if self.checkpoint and self.checkpoint.due(rnd):
-                    self._write_checkpoint(
-                        rnd, expect, sends, pending, sent_msgs, pipe_bytes
-                    )
 
-            while sends or pending:
-                if rnd >= self.max_rounds:
+            # round 1 always runs; then loop on the flat engine's
+            # quiescence test
+            while not rnd or sends or pending:
+                if rnd and rnd >= self.max_rounds:
                     stats.converged = False
-                    stats.rounds_executed = rnd
                     break
                 rnd += 1
-                self._expect_hist[rnd] = list(expect)
-                with tracer.span("round", round=rnd) as round_span:
-                    for x in all_hosts:
-                        self._conns[x].send((_STEP, rnd, expect[x]))
-                    delivered = sum(expect)
-                    expect = [0] * num_hosts
-                    sends = 0
-                    round_bytes = 0
-                    round_shm = 0
-                    reports = self._round_barrier(rnd)
-                    for x in all_hosts:
-                        _tag, sent, per_dest, nbytes, shm_nb, over = (
-                            reports[x][:6]
-                        )
-                        sends += sent
-                        sent_msgs[x] += sent
-                        round_bytes += nbytes
-                        round_shm += shm_nb
-                        self.shm_overflow_batches += over
-                        for y, count in per_dest.items():
-                            expect[y] += count
-                    round_span.note(sends=sends)
+                delivered = sum(expect)
+                sends, expect = self._run_round(rnd, expect, sent_msgs)
                 pending += sends - delivered
-                stats.sends_per_round.append(sends)
-                pipe_bytes.append(round_bytes)
-                shm_bytes.append(round_shm)
-                if sends:
-                    stats.execution_time += 1
-                record_round(rnd, sends, reports)
                 if self.checkpoint and self.checkpoint.due(rnd):
-                    self._write_checkpoint(
-                        rnd, expect, sends, pending, sent_msgs, pipe_bytes
-                    )
-            else:
-                stats.rounds_executed = rnd
+                    self._checkpoint(rnd, expect, sends, pending, sent_msgs)
+            stats.rounds_executed = rnd
 
             # -- gather: worker span buffers (telemetry runs first so
             # the fleet timeline ends before the result recv), then
@@ -1666,8 +1414,8 @@ class MultiProcessOneToManyEngine:
         self._shutdown(graceful=True)
 
         export_send_counts(stats, sent_msgs)
-        self.pipe_bytes_total = sum(pipe_bytes)
-        self.shm_bytes_total = sum(shm_bytes)
+        self.pipe_bytes_total = sum(self.pipe_bytes_per_round)
+        self.shm_bytes_total = sum(self.shm_bytes_per_round)
         stats.wall_seconds = _time.perf_counter() - start
         if not stats.converged and self.strict:
             raise ConvergenceError(stats.rounds_executed)

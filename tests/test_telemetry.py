@@ -272,11 +272,22 @@ class TestTracingOnEquivalence:
     def test_one_to_many_flat(self, communication):
         g = graph()
         base = _flat_many(g, communication=communication)
+        tracer = Tracer()
         traced = _flat_many(
-            g, communication=communication, telemetry=True
+            g, communication=communication, telemetry=tracer
         )
         assert_same_replay(traced, base)
         assert traced.coreness == batagelj_zaversnik(g)
+        # perfbench's per-layer split reads these span names
+        events = [ev for _lane, evs in tracer.buffers() for ev in evs]
+        assert {ev[1] for ev in events} == {
+            "round", "emit", "kernel.seed_shard", "kernel.fold_mailbox",
+            "kernel.cascade",
+        }
+        hosts = range(traced.stats.extra["num_hosts"])
+        for _kind, name, _t0, _t1, args in events:
+            if name != "round":
+                assert args["host"] in hosts
 
     @pytest.mark.parametrize("communication", ("broadcast", "p2p"))
     def test_one_to_many_mp_fork(self, communication):
@@ -318,7 +329,8 @@ class TestMpFleetTimeline:
         for host in range(3):
             worker_spans = {ev[1] for ev in buffers[f"worker-{host}"]}
             assert {"round", "emit.serialize", "kernel.seed_shard",
-                    "kernel.cascade", "mail.pull"} <= worker_spans
+                    "kernel.fold_mailbox", "kernel.cascade",
+                    "mail.pull"} <= worker_spans
 
     def test_chrome_trace_has_one_process_row_per_lane(self, tmp_path):
         tracer = self._traced_run()
