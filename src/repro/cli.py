@@ -176,8 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     churn.add_argument(
         "--telemetry", action="store_true",
-        help="trace the replay (churn.apply_batch / kernel.reconverge / "
-        "csr.compact spans) and print a span summary table",
+        help="trace the replay (streaming.build / churn.apply_batch / "
+        "kernel.reconverge / csr.compact spans) and print a span summary "
+        "table",
     )
     churn.add_argument(
         "--trace-out", default=None, metavar="PATH",
@@ -594,6 +595,8 @@ def _cmd_churn(args: argparse.Namespace) -> int:
         rows += [
             ("reconverge rounds", sum(rounds)),
             ("compactions", metrics["compactions"]),
+            ("guard skips", metrics["guard_skips"]),
+            ("walk fallbacks", metrics["walk_fallbacks"]),
         ]
     print(format_table(("metric", "value"), rows, title="maintenance cost"))
     coreness = engine.coreness

@@ -353,9 +353,22 @@ class KernelBackend(Protocol):
         argument). Runs as synchronous (Jacobi) rounds so the round
         count is schedule-independent: each round recomputes the whole
         frontier from a snapshot of ``est``, applies every drop at
-        once, then the next frontier is the live neighbours of the
-        dropped rows. Rows with ``est <= 0`` are skipped (they cannot
-        drop); rows with no live slots drop to 0.
+        once, then the next frontier is the *level-crossing*
+        neighbours of the dropped rows: when row ``u`` drops from
+        ``old`` to ``new``, live neighbour ``t`` joins it only if
+        ``new < est[t] <= old`` (``est`` after the round's drops). A
+        neighbour outside that band counts ``u`` on the same side of
+        its own estimate before and after, so it stays a fixpoint of
+        ``computeIndex`` (locality, Algorithm 2) and recomputing it
+        could not drop it. The caller's ``frontier`` must therefore
+        hold every row whose support the caller's edits may have
+        broken. Rows with ``est <= 0`` are skipped (they cannot drop);
+        rows with no live slots drop to 0.
+
+        The drops of every round, the final ``est`` and ``changed``
+        equal those of a frontier of *all* live neighbours; only the
+        last, drop-free round may be saved, so ``rounds`` is at most
+        one lower than under that rule.
 
         Returns ``(changed, rounds)``: the ascending list of rows
         whose estimate dropped (builtin ints) and the number of rounds

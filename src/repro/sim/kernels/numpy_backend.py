@@ -527,15 +527,23 @@ class NumpyBackend(KernelBackend):
             du = work[drop]
             if not len(du):
                 break
-            est_v[du] = new[drop]
+            lo = new[drop]
+            hi = caps[drop]
+            est_v[du] = lo
             fresh = du[changed_flag[du] == 0]
             changed_flag[fresh] = 1
             changed.extend(fresh.tolist())
+            # next frontier: neighbours whose support a drop crossed,
+            # lo < est[t] <= hi (every other row is still a fixpoint)
             seg3, idx3, _, _ = self._dyn_segments(st, us, du)
             nbrs = tg[idx3]
-            nbrs = nbrs[nbrs >= 0]
-            cand = _unique_sorted(nbrs)
-            work = cand[est_v[cand] > 0]
+            live = nbrs >= 0
+            nbrs = nbrs[live]
+            seg3 = seg3[live]
+            at = est_v[nbrs]
+            work = _unique_sorted(
+                nbrs[(lo[seg3] < at) & (at <= hi[seg3])]
+            )
         return sorted(changed), rounds
 
     # ------------------------------------------------------------------

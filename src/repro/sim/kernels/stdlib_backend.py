@@ -268,7 +268,7 @@ class StdlibBackend(KernelBackend):
         # synchronous (Jacobi) rounds so the round count matches the
         # vectorised backend: recompute the whole frontier from the
         # current est snapshot, apply the drops together, then the next
-        # frontier is the live neighbourhood of the dropped rows
+        # frontier is the neighbours whose support the drops crossed
         _compute_index = compute_index
         changed_flag = bytearray(len(used))
         changed: list[int] = []
@@ -276,25 +276,27 @@ class StdlibBackend(KernelBackend):
         rounds = 0
         while work:
             rounds += 1
-            drops: list[tuple[int, int]] = []
+            drops: list[tuple[int, int, int]] = []
             for u in work:
                 s = starts[u]
+                old = est[u]
                 vals = [est[t] for t in targets[s:s + used[u]] if t >= 0]
-                k = _compute_index(vals, est[u], scratch) if vals else 0
-                if k < est[u]:
-                    drops.append((u, k))
+                k = _compute_index(vals, old, scratch) if vals else 0
+                if k < old:
+                    drops.append((u, k, old))
             if not drops:
                 break
             nxt: set[int] = set()
-            for u, k in drops:
+            for u, k, _ in drops:
                 est[u] = k
                 if not changed_flag[u]:
                     changed_flag[u] = 1
                     changed.append(u)
-            for u, _ in drops:
+            for u, k, old in drops:
                 s = starts[u]
                 for t in targets[s:s + used[u]]:
-                    if t >= 0 and est[t] > 0:
+                    # t >= 0 skips tombstones; k >= 0 keeps est 0 out
+                    if t >= 0 and k < est[t] <= old:
                         nxt.add(t)
             work = sorted(nxt)
         return sorted(changed), rounds

@@ -20,12 +20,23 @@ flat machinery as every other fast path in the repository.
   re-convergence (their bounds compose: coreness only falls under
   deletion); an insertion's subcore argument needs exact coreness, so
   pending deletions are settled first;
+* an insertion whose candidate walk finishes within its budget is not
+  re-converged at all: the peeled candidates are exactly the rows that
+  rise (together with the ``level + 1``-core they have minimum degree
+  ``level + 1``, and no row rises by more than one), so the bump alone
+  makes the estimates exact. Only the level-set fallback re-converges;
 * re-convergence runs on the backend's ``reconverge_from_bounds``
   kernel (synchronous Jacobi rounds — bit-identical across backends,
-  including the round count);
+  including the round count). After a round, only the neighbours whose
+  estimate a drop crossed (``new < est[t] <= old``) are recomputed:
+  every other row is still a fixpoint of ``computeIndex``;
 * compaction is checked after every batch: when the dynamic CSR's
   garbage ratio crosses its deterministic threshold, the structure is
-  rebuilt and the estimate table permuted with the returned row map.
+  rebuilt and the estimate table permuted with the returned row map;
+* a batch is atomic: :meth:`FlatDynamicKCore.check_events` validates
+  it whole before the first edit, and the replay guards' skips and the
+  walk's budget fallbacks are counted (``guard_skips`` /
+  ``walk_fallbacks``).
 
 The result is bit-identical to the object engine and to from-scratch
 Batagelj–Zaveršnik after every batch — the differential churn grid in
@@ -53,7 +64,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import deque
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, NoReturn, Sequence
 
 from repro.baselines.batagelj_zaversnik import batagelj_zaversnik_csr
 from repro.errors import ConfigurationError, EdgeError, GraphError, \
@@ -69,6 +80,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["FlatDynamicKCore"]
 
 _M64 = (1 << 64) - 1
+
+#: nodes per churn event kind (0: a join, one or more)
+_ARITY = {"join": 0, "leave": 1, "link": 2, "unlink": 2}
+
+
+def _reject(error: type, index: int, event, why: str) -> NoReturn:
+    raise error(f"churn event {index} ({event.kind} {event.nodes}): {why}")
 
 
 def _edge_hash(u: int, v: int, seed: int) -> int:
@@ -96,6 +114,8 @@ def _fresh_metrics() -> dict[str, Any]:
         "edits_applied": 0,
         "dirty_nodes_total": 0,
         "compactions": 0,
+        "guard_skips": 0,
+        "walk_fallbacks": 0,
         "dirty_nodes_per_batch": [],
         "reconverge_rounds_per_batch": [],
     }
@@ -115,9 +135,10 @@ class FlatDynamicKCore:
     ``replay_trace(engine="flat")`` and :class:`~repro.streaming.
     service.ChurnService`. :attr:`metrics` accumulates the registered
     streaming metrics (``edits_applied``, ``dirty_nodes_total``,
-    ``compactions`` and the per-batch histograms); wall-clock lives in
-    telemetry spans (``churn.apply_batch`` / ``kernel.reconverge`` /
-    ``csr.compact``), never in the metrics dict.
+    ``compactions``, ``guard_skips``, ``walk_fallbacks`` and the
+    per-batch histograms); wall-clock lives in telemetry spans
+    (``streaming.build`` / ``churn.apply_batch`` / ``kernel.reconverge``
+    / ``csr.compact``), never in the metrics dict.
     """
 
     #: Visited-row cap for the insertion candidate walk; past it the
@@ -156,15 +177,17 @@ class FlatDynamicKCore:
         self._approx = approx
         self._seed = seed
         self._sample_p = 1.0
-        csr = self._adopt(graph)
-        if approx is not None:
-            n0 = max(csr.num_nodes, 2)
-            self._sample_p = min(
-                1.0, 3.0 * math.log(n0) / (approx * approx * approx_floor)
-            )
-            csr = self._downsample(csr)
-        self._graph = DynamicCSRGraph.from_csr(csr, self._backend)
-        self._est = array("q", batagelj_zaversnik_csr(csr))
+        with self._tracer.span("streaming.build"):
+            csr = self._adopt(graph)
+            if approx is not None:
+                n0 = max(csr.num_nodes, 2)
+                self._sample_p = min(
+                    1.0,
+                    3.0 * math.log(n0) / (approx * approx * approx_floor),
+                )
+                csr = self._downsample(csr)
+            self._graph = DynamicCSRGraph.from_csr(csr, self._backend)
+            self._est = array("q", batagelj_zaversnik_csr(csr))
 
     def _adopt(self, graph) -> CSRGraph:
         """Boundary conversion of any accepted input to a CSR snapshot."""
@@ -253,6 +276,17 @@ class FlatDynamicKCore:
                 }
         return self._coreness_cache
 
+    def coreness_of(self, node: int) -> int:
+        """Coreness of one node (scaled estimate if approx), in O(1).
+
+        Raises :class:`~repro.errors.NodeNotFoundError` for a node the
+        graph does not hold.
+        """
+        est = self._est[self._graph.row_of(node)]
+        if self._approx is None:
+            return est
+        return int(est / self._sample_p + 0.5)
+
     def core(self, k: int) -> set[int]:
         """Nodes of the current k-core."""
         return {u for u, c in self.coreness.items() if c >= k}
@@ -309,15 +343,19 @@ class FlatDynamicKCore:
         """Apply one churn batch with replay guard semantics.
 
         ``events`` are :class:`~repro.workloads.churn.ChurnEvent`-shaped
-        objects (``kind`` / ``nodes``); guards match ``replay_trace``:
-        joins insert edges only to present contacts, leaves of absent
-        nodes are skipped, links require both endpoints present and the
-        edge absent, unlinks require the edge present. Guards are
-        evaluated sequentially against live state, so intra-batch
+        objects (``kind`` / ``nodes``). The batch is atomic: it is
+        first validated whole (:meth:`check_events`), and a bad event
+        raises before anything is applied. Guards match
+        ``replay_trace``: joins insert edges only to present contacts,
+        leaves of absent nodes are skipped, links require both
+        endpoints present and the edge absent, unlinks require the edge
+        present; each skip counts in ``metrics["guard_skips"]``. Guards
+        are evaluated sequentially against live state, so intra-batch
         dependencies (join then link to the new node) behave exactly
         like event-at-a-time replay. Returns the number of primitive
         edits applied; coreness is exact when the call returns.
         """
+        events = self.check_events(events)
         self._begin_batch()
         applied = 0
         with self._tracer.span("churn.apply_batch") as span:
@@ -328,42 +366,84 @@ class FlatDynamicKCore:
         self._finish_batch(applied)
         return applied
 
+    def check_events(self, events: Iterable, ahead: Iterable = ()) -> list:
+        """Validate a churn batch without mutating anything.
+
+        Each event is checked against live node presence as the events
+        before it leave it: first ``ahead`` (events already validated
+        and queued in front of this batch), then this batch in order.
+        Invalid are a join of a present node, a join naming itself or
+        one contact twice, a self-loop link, an unknown kind and a
+        wrong number of nodes; the first one raises (``GraphError``,
+        ``EdgeError`` or ``ConfigurationError``) naming its index in
+        ``events``. Guard skips (absent endpoints, existing or missing
+        edges) are valid. Returns the events as a list.
+        """
+        batch = list(events)
+        live = self._graph.has_node
+        # presence as left by the events in front; other nodes are live
+        moved: dict[int, bool] = {}
+        for event in ahead:
+            if event.kind in ("join", "leave"):
+                moved[event.nodes[0]] = event.kind == "join"
+        for index, event in enumerate(batch):
+            kind, nodes = event.kind, event.nodes
+            arity = _ARITY.get(kind)
+            if arity is None:
+                _reject(ConfigurationError, index, event,
+                        f"unknown churn event kind {kind!r}")
+            if len(nodes) < 1 or (arity and len(nodes) != arity):
+                _reject(ConfigurationError, index, event,
+                        f"a {kind} names {arity or 'at least one'} node(s)")
+            if kind == "join":
+                new = nodes[0]
+                present = moved.get(new)
+                if live(new) if present is None else present:
+                    _reject(GraphError, index, event,
+                            f"node {new} already present")
+                if new in nodes[1:]:
+                    _reject(EdgeError, index, event,
+                            f"self-loop on node {new} is not allowed")
+                if len(set(nodes)) != len(nodes):
+                    _reject(EdgeError, index, event,
+                            "a contact is named twice")
+                moved[new] = True
+            elif kind == "leave":
+                moved[nodes[0]] = False
+            elif kind == "link" and nodes[0] == nodes[1]:
+                _reject(EdgeError, index, event,
+                        f"self-loop on node {nodes[0]} is not allowed")
+        return batch
+
     def _apply_event(self, event) -> int:
+        """Apply one validated event; returns the edits it made."""
         kind = event.kind
+        g = self._graph
         if kind == "join":
             new, *contacts = event.nodes
-            if self._graph.has_node(new):
-                raise GraphError(f"node {new} already present")
             self._add_row(new)
             applied = 1
             for contact in contacts:
-                if self._graph.has_node(contact):
+                if g.has_node(contact):
                     self._insert(new, contact)
                     applied += 1
+            self.metrics["guard_skips"] += len(contacts) + 1 - applied
             return applied
+        u = event.nodes[0]
         if kind == "leave":
-            (victim,) = event.nodes
-            if self._graph.has_node(victim):
-                self._remove(victim)
+            if g.has_node(u):
+                self._remove(u)
                 return 1
-            return 0
-        if kind == "link":
-            u, v = event.nodes
-            if (
-                self._graph.has_node(u)
-                and self._graph.has_node(v)
-                and not self._graph.has_edge(u, v)
-            ):
+        elif kind == "link":
+            v = event.nodes[1]
+            if g.has_node(u) and g.has_node(v) and not g.has_edge(u, v):
                 self._insert(u, v)
                 return 1
-            return 0
-        if kind == "unlink":
-            u, v = event.nodes
-            if self._graph.has_edge(u, v):
-                self._delete(u, v)
-                return 1
-            return 0
-        raise ConfigurationError(f"unknown churn event kind {kind!r}")
+        elif g.has_edge(u, event.nodes[1]):  # unlink
+            self._delete(u, event.nodes[1])
+            return 1
+        self.metrics["guard_skips"] += 1
+        return 0
 
     # ------------------------------------------------------------------
     # internals
@@ -397,7 +477,13 @@ class FlatDynamicKCore:
         for r in candidates:
             est[r] = level + 1
         self._coreness_cache = None
-        self._reconverge(sorted(candidates | {ru, rv}))
+        dirty = candidates | {ru, rv}
+        if len(candidates) <= self._WALK_BUDGET:
+            # an exact walk bumped exactly the risers: est is already
+            # the coreness, and re-convergence would change nothing
+            self._batch_dirty += len(dirty)
+        else:
+            self._reconverge(sorted(dirty))
 
     def _delete(self, u: int, v: int) -> None:
         if self._approx is not None and not self._graph.has_edge(u, v):
@@ -452,7 +538,13 @@ class FlatDynamicKCore:
         viable supporters as long as no riser has been evicted, and
         the fallback set contains the whole subcore — so bumping the
         result always yields a pointwise upper bound and
-        re-convergence lands on exact coreness.
+        re-convergence lands on exact coreness. Within budget the
+        peeled set is moreover exactly the set of risers: each
+        survivor keeps more than ``level`` neighbours among the
+        survivors and the ``level + 1``-core, so it rises too. A
+        result of at most :attr:`_WALK_BUDGET` rows is such an exact
+        set (the fallback set is always larger), and :meth:`_insert`
+        skips the re-convergence for it.
         """
         est = self._est
         g = self._graph
@@ -476,6 +568,7 @@ class FlatDynamicKCore:
                     cand.add(t)
                     queue.append(t)
             if len(cand) > budget:
+                self.metrics["walk_fallbacks"] += 1
                 return {
                     row for row in g.live_rows() if est[row] == level
                 }

@@ -8,14 +8,16 @@ FlatDynamicKCore` (structural edits batched on the kernels, one
 re-convergence per delete run), and *flushes the buffer before
 answering any query*, so every answer reflects every event submitted
 before it. Batch size trades latency for batching win; queries are the
-consistency barrier.
+consistency barrier. :meth:`ChurnService.submit` validates the events
+before buffering them, so a bad event raises at once and leaves the
+service as it was; point queries read one estimate, not the full map.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Iterable
 
-from repro.errors import ConfigurationError, NodeNotFoundError
+from repro.errors import ConfigurationError
 from repro.streaming.flat_maintenance import FlatDynamicKCore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -79,13 +81,20 @@ class ChurnService:
 
     # ------------------------------------------------------------------
     def submit(self, events: "Iterable[ChurnEvent]") -> int:
-        """Buffer events; apply every full batch. Returns batches run."""
-        self._queue.extend(events)
+        """Buffer events; apply every full batch. Returns batches run.
+
+        The events are validated first, against the graph as the
+        events already buffered will leave it
+        (:meth:`FlatDynamicKCore.check_events`): a bad event raises,
+        naming its index in ``events``, and the call buffers and
+        applies nothing.
+        """
+        self._queue += self._engine.check_events(events, self._queue)
         ran = 0
-        while len(self._queue) >= self._batch_size:
-            chunk = self._queue[: self._batch_size]
-            del self._queue[: self._batch_size]
-            self._engine.apply_events(chunk)
+        size = self._batch_size
+        while len(self._queue) >= size:
+            self._engine.apply_events(self._queue[:size])
+            del self._queue[:size]
             ran += 1
         self.batches_applied += ran
         return ran
@@ -94,20 +103,20 @@ class ChurnService:
         """Apply whatever is buffered as one final (short) batch."""
         if not self._queue:
             return 0
-        chunk = self._queue
+        self._engine.apply_events(self._queue)
         self._queue = []
-        self._engine.apply_events(chunk)
         self.batches_applied += 1
         return 1
 
     # ------------------------------------------------------------------
     def coreness_of(self, node: int) -> int:
-        """Current coreness of ``node`` (flushes pending events)."""
+        """Current coreness of ``node`` (flushes pending events).
+
+        Raises :class:`~repro.errors.NodeNotFoundError` for an unknown
+        node.
+        """
         self.flush()
-        try:
-            return self._engine.coreness[node]
-        except KeyError:
-            raise NodeNotFoundError(node) from None
+        return self._engine.coreness_of(node)
 
     def core(self, k: int) -> set[int]:
         """Nodes of the current k-core (flushes pending events)."""

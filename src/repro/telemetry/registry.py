@@ -177,6 +177,18 @@ _SPECS = (
         "dynamic-CSR rebuilds triggered by the tombstone-ratio threshold",
     ),
     MetricSpec(
+        "guard_skips", "counter", "int", "events",
+        "streaming (flat engine)",
+        "churn events or join contacts skipped by a replay guard (absent "
+        "node or endpoint, existing or missing edge)",
+    ),
+    MetricSpec(
+        "walk_fallbacks", "counter", "int", "walks",
+        "streaming (flat engine)",
+        "insert candidate walks that tripped the visit budget and bumped "
+        "the whole level set instead",
+    ),
+    MetricSpec(
         "dirty_nodes_per_batch", "histogram", "list[int]", "nodes",
         "streaming (flat engine)",
         "per-batch series of dirty-row counts (locality of each batch)",

@@ -298,6 +298,17 @@ class TestTable1AndDatasets:
         assert "Table 1 (reproduced)" in out
         assert "gnutella-like" in out
 
+    def test_churn_reports_silent_decisions(self, capsys):
+        assert main([
+            "churn", "--dataset", "gnutella", "--scale", "0.05",
+            "--duration", "20", "--engine", "flat", "--batch-size", "8",
+            "--verify-every", "16", "--seed", "1",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "maintenance cost" in out
+        for row in ("guard skips", "walk fallbacks", "reconverge rounds"):
+            assert row in out
+
     def test_datasets_listing(self, capsys):
         assert main(["datasets"]) == 0
         out = capsys.readouterr().out

@@ -15,6 +15,8 @@ import random
 from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.sim.kernels as kernels
 from repro.core.compute_index import compute_index
@@ -37,6 +39,54 @@ BACKENDS = available_backends()
 
 def backends():
     return [resolve_backend(name) for name in BACKENDS]
+
+
+def _full_neighbourhood_jacobi(starts, used, targets, est, frontier):
+    """``reconverge_from_bounds`` under the full-neighbourhood rule.
+
+    The reference for the level-crossing frontier: after each round,
+    *every* live neighbour of a dropped row with ``est > 0`` is
+    recomputed, whether or not the drop crossed its estimate.
+    """
+    def live(u):
+        return [t for t in targets[starts[u]:starts[u] + used[u]] if t >= 0]
+
+    changed: set = set()
+    work = sorted(u for u in frontier if est[u] > 0)
+    rounds = 0
+    while work:
+        rounds += 1
+        drops = []
+        for u in work:
+            vals = [est[t] for t in live(u)]
+            k = compute_index(vals, est[u]) if vals else 0
+            if k < est[u]:
+                drops.append((u, k))
+        if not drops:
+            break
+        for u, k in drops:
+            est[u] = k
+            changed.add(u)
+        work = sorted({t for u, _ in drops for t in live(u) if est[t] > 0})
+    return sorted(changed), rounds
+
+
+@st.composite
+def graphs_with_deletions(draw):
+    """A random simple graph and a non-empty subset of its edges."""
+    n = draw(st.integers(2, 24))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        min_size=1, max_size=80,
+    ))
+    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    if not edges:
+        edges = [(0, 1)]
+    doomed = draw(st.lists(
+        st.sampled_from(edges), min_size=1, max_size=len(edges),
+        unique=True,
+    ))
+    return n, edges, doomed
 
 
 class TestRegistry:
@@ -363,8 +413,42 @@ class TestDynamicCSRKernels:
         oracle = batagelj_zaversnik_csr(g.to_csr())
         assert list(est) == list(oracle) == [4] * 6
         assert changed == [0, 1, 2, 3, 4, 5]
-        assert rounds == 3            # Jacobi: backend-independent
+        # Jacobi, backend-independent: round 1 drops rows 0 and 1,
+        # round 2 the four rows their drops crossed; no drop-free third
+        # round, since no row's support was crossed in round 2
+        assert rounds == 2
         assert all(type(c) is int for c in changed)
+
+    @pytest.mark.parametrize("backend", backends())
+    @given(case=graphs_with_deletions())
+    @settings(max_examples=60, deadline=None)
+    def test_level_crossing_frontier_matches_full_jacobi(self, backend,
+                                                         case):
+        from repro.baselines.batagelj_zaversnik import batagelj_zaversnik_csr
+        from repro.graph.dynamic_csr import DynamicCSRGraph
+
+        n, edges, doomed = case
+        g = DynamicCSRGraph.from_edges(edges, backend=backend)
+        before = g.to_csr()
+        est = array("q", [0]) * g.num_rows
+        for i, k in enumerate(batagelj_zaversnik_csr(before)):
+            est[g.row_of(before.ids[i])] = k
+        g.delete_edges(doomed)
+        frontier = sorted({g.row_of(x) for e in doomed for x in e})
+        ref_est = array("q", est)
+        ref_changed, ref_rounds = _full_neighbourhood_jacobi(
+            g.starts, g.used, g.targets, ref_est, frontier
+        )
+        changed, rounds = backend.reconverge_from_bounds(
+            g.starts, g.used, g.targets, est, frontier, []
+        )
+        after = g.to_csr()
+        oracle = batagelj_zaversnik_csr(after)
+        assert [est[g.row_of(after.ids[i])] for i in range(after.num_nodes)] \
+            == list(oracle)
+        assert est == ref_est
+        assert changed == ref_changed
+        assert ref_rounds - 1 <= rounds <= ref_rounds
 
     @pytest.mark.parametrize("backend", backends())
     def test_reconverge_skips_dead_and_zero_rows(self, backend):

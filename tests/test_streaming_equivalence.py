@@ -8,13 +8,17 @@ object :class:`~repro.streaming.DynamicKCore` oracle *and* from-scratch
 Batagelj–Zaveršnik. On top of the grid: forced mid-trace compaction,
 duplicate-edge / self-loop rejection parity, nodes appearing and
 vanishing (and reappearing under the same id), the ChurnService
-facade, the approx (ELM) lane's sample-exactness, and
+facade, the approx (ELM) lane's sample-exactness,
 hypothesis-generated edit scripts in the style of
-``test_backend_equivalence.py``.
+``test_backend_equivalence.py``, O(1) point queries, the exactness of
+a within-budget insert walk (which skips re-convergence), atomic
+batches under injected bad events, and the guard-skip and
+walk-fallback counters.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 from collections import Counter
 
@@ -23,10 +27,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import batagelj_zaversnik
-from repro.errors import ConfigurationError, EdgeError, GraphError
+from repro.errors import ConfigurationError, EdgeError, GraphError, \
+    NodeNotFoundError
 from repro.graph import generators as gen
+from repro.graph.graph import Graph
 from repro.sim.kernels import numpy_available, resolve_backend
 from repro.streaming import ChurnService, DynamicKCore, FlatDynamicKCore
+from repro.telemetry import Tracer
+from repro.telemetry.registry import validate_extra
 from repro.workloads.churn import ChurnEvent, generate_churn_trace
 
 requires_numpy = pytest.mark.skipif(
@@ -385,6 +393,19 @@ def edit_scripts(draw):
     return n, steps
 
 
+def _events_from_steps(steps):
+    """Valid churn events (guard skips included) from ``edit_scripts``."""
+    events = []
+    for t, (kind, a, b) in enumerate(steps):
+        if kind == "join":
+            events.append(ChurnEvent(float(t), "join", (100 + t, a)))
+        elif kind == "leave":
+            events.append(ChurnEvent(float(t), "leave", (a,)))
+        elif a != b:
+            events.append(ChurnEvent(float(t), kind, (a, b)))
+    return events
+
+
 class TestPropertyBased:
     @pytest.mark.parametrize("backend", BACKENDS)
     @given(script=edit_scripts())
@@ -394,13 +415,264 @@ class TestPropertyBased:
         graph = gen.erdos_renyi_graph(n, 0.3, seed=n)
         flat = FlatDynamicKCore(graph, backend=resolve_backend(backend))
         oracle = DynamicKCore(graph)
-        events = []
-        for t, (kind, a, b) in enumerate(steps):
-            if kind == "join":
-                events.append(ChurnEvent(float(t), "join", (100 + t, a)))
-            elif kind == "leave":
-                events.append(ChurnEvent(float(t), "leave", (a,)))
-            elif a != b:
-                events.append(ChurnEvent(float(t), kind, (a, b)))
-        _drive(flat, oracle, events, batch=5)
+        _drive(flat, oracle, _events_from_steps(steps), batch=5)
         assert flat.verify() and oracle.verify()
+
+
+class TestPointQueries:
+    """``coreness_of`` reads one estimate; ``coreness`` builds the map."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_matches_the_full_map(self, backend):
+        graph = FAMILIES["plc"]()
+        flat = FlatDynamicKCore(graph, backend=resolve_backend(backend))
+        flat.apply_events(_script(graph, "mixed", 1))
+        assert {u: flat.coreness_of(u) for u in flat.graph.nodes()} \
+            == flat.coreness
+
+    def test_unknown_node_raises(self):
+        flat = FlatDynamicKCore(gen.path_graph(4))
+        with pytest.raises(NodeNotFoundError):
+            flat.coreness_of(99)
+        flat.remove_node(2)
+        with pytest.raises(NodeNotFoundError):
+            flat.coreness_of(2)
+        service = ChurnService(gen.path_graph(4))
+        with pytest.raises(NodeNotFoundError):
+            service.coreness_of(99)
+
+    def test_approx_lane_is_scaled_like_the_map(self):
+        graph = gen.erdos_renyi_graph(200, 0.1, seed=9)
+        engine = FlatDynamicKCore(graph, approx=0.5, approx_floor=150,
+                                  seed=4)
+        assert 0.0 < engine.sample_probability < 1.0
+        full = engine.coreness
+        assert any(c != engine._est[engine.graph.row_of(u)]
+                   for u, c in full.items())  # the scaling is not a no-op
+        for node, scaled in full.items():
+            assert engine.coreness_of(node) == scaled
+
+
+@st.composite
+def insert_cases(draw):
+    """A random simple graph and one new edge to insert into it."""
+    n = draw(st.integers(3, 30))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        max_size=120,
+    ))
+    edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v}
+    absent = [
+        (u, v) for u in range(n) for v in range(u + 1, n)
+        if (u, v) not in edges
+    ]
+    if not absent:
+        absent = [(0, n)]  # a complete graph: attach a new node
+    return sorted(edges), draw(st.sampled_from(absent))
+
+
+class TestExactWalk:
+    """A walk that finishes within budget bumps exactly the risers."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @given(case=insert_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_reconverging_an_exact_walk_changes_nothing(self, backend,
+                                                       case):
+        edges, (u, v) = case
+        engine = FlatDynamicKCore(
+            Graph.from_edges(edges), backend=resolve_backend(backend)
+        )
+        for node in (u, v):
+            if not engine.has_node(node):
+                engine.add_node(node)
+        g, est = engine.graph, engine._est
+        g.insert_edges([(u, v)])
+        ru, rv = g.row_of(u), g.row_of(v)
+        level = min(est[ru], est[rv])
+        roots = [r for r in (ru, rv) if est[r] == level]
+        candidates = engine._insert_candidates(roots, level)
+        assert len(candidates) <= engine._WALK_BUDGET
+        for r in candidates:
+            est[r] = level + 1
+        changed, _ = engine.backend.reconverge_from_bounds(
+            g.starts, g.used, g.targets, est,
+            sorted(candidates | {ru, rv}), [],
+        )
+        assert changed == []
+        assert engine.verify()
+        assert engine.metrics["walk_fallbacks"] == 0
+
+
+def _link(u, v):
+    return ChurnEvent(0.0, "link", (u, v))
+
+
+#: one bad event per rejected shape: (event, error type, message part)
+BAD_EVENTS = {
+    "self-loop link": (_link(3, 3), EdgeError, "self-loop"),
+    "join naming itself": (
+        ChurnEvent(0.0, "join", (500, 1, 500)), EdgeError, "self-loop"),
+    "duplicate contact": (
+        ChurnEvent(0.0, "join", (500, 1, 2, 1)), EdgeError, "twice"),
+    "unknown kind": (
+        ChurnEvent(0.0, "merge", (1, 2)), ConfigurationError, "merge"),
+    "link arity": (ChurnEvent(0.0, "link", (1,)), ConfigurationError,
+                   "2 node"),
+    "leave arity": (ChurnEvent(0.0, "leave", (1, 2)), ConfigurationError,
+                    "1 node"),
+    "empty join": (ChurnEvent(0.0, "join", ()), ConfigurationError,
+                   "at least one"),
+    "join of a present node": (
+        ChurnEvent(0.0, "join", (4,)), GraphError, "already present"),
+}
+
+
+def _state(service: ChurnService):
+    """Everything a rejected call must leave as it was."""
+    engine = service.engine
+    return (
+        sorted(engine.graph.edges()),
+        sorted(engine.graph.nodes()),
+        dict(engine.coreness),
+        copy.deepcopy(engine.metrics),
+        service.pending,
+        service.batches_applied,
+    )
+
+
+class TestAtomicBatches:
+    """A bad event raises before anything is buffered or applied."""
+
+    def test_bad_event_after_a_good_one_applies_neither(self):
+        service = ChurnService(gen.path_graph(300), batch_size=1)
+        before = _state(service)
+        with pytest.raises(EdgeError, match="churn event 1 .*self-loop"):
+            service.submit([_link(0, 299), _link(3, 3)])
+        assert not service.engine.has_edge(0, 299)
+        assert _state(service) == before
+
+    @pytest.mark.parametrize("shape", sorted(BAD_EVENTS))
+    def test_each_bad_shape_is_rejected_whole(self, shape):
+        bad, error, why = BAD_EVENTS[shape]
+        service = ChurnService(gen.path_graph(8), batch_size=4)
+        service.submit([_link(0, 7)])          # one event stays pending
+        before = _state(service)
+        with pytest.raises(error, match=f"churn event 2 .*{why}"):
+            service.submit([_link(0, 2), _link(1, 5), bad, _link(2, 6)])
+        assert _state(service) == before
+        flat = FlatDynamicKCore(gen.path_graph(8))
+        snapshot = (sorted(flat.graph.edges()), dict(flat.coreness),
+                    copy.deepcopy(flat.metrics))
+        with pytest.raises(error, match=f"churn event 1 .*{why}"):
+            flat.apply_events([_link(0, 2), bad])
+        assert (sorted(flat.graph.edges()), dict(flat.coreness),
+                flat.metrics) == snapshot
+
+    def test_presence_follows_the_events_ahead(self):
+        service = ChurnService(gen.path_graph(4), batch_size=100)
+        service.submit([ChurnEvent(0.0, "leave", (1,))])
+        # node 1 is gone once the buffered leave applies: joining it is
+        # valid, and joining it twice is not
+        service.submit([ChurnEvent(1.0, "join", (1, 0))])
+        with pytest.raises(GraphError, match="churn event 1 "):
+            service.submit([ChurnEvent(2.0, "join", (9,)),
+                            ChurnEvent(3.0, "join", (1,))])
+        assert service.pending == 2
+        assert service.coreness() == {0: 1, 1: 1, 2: 1, 3: 1}
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @given(
+        script=edit_scripts(),
+        shape=st.sampled_from(sorted(BAD_EVENTS)),
+        where=st.floats(0.0, 1.0),
+        batch_size=st.integers(1, 9),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_injected_bad_event_leaves_no_trace(self, backend, script,
+                                                shape, where, batch_size):
+        n, steps = script
+        graph = gen.erdos_renyi_graph(n, 0.3, seed=n)
+        events = _events_from_steps(steps)
+        at = int(where * len(events))
+        bad, error, _why = BAD_EVENTS[shape]
+        if shape == "join of a present node":
+            alive = set(graph.nodes())
+            for event in events[:at]:
+                if event.kind == "join":
+                    alive.add(event.nodes[0])
+                elif event.kind == "leave":
+                    alive.discard(event.nodes[0])
+            if not alive:
+                return  # nothing present to re-join
+            bad = ChurnEvent(0.0, "join", (min(alive),))
+        service = ChurnService(graph, backend=backend,
+                               batch_size=batch_size)
+        service.submit(events[:at])
+        before = _state(service)
+        with pytest.raises(error, match="churn event 0 "):
+            service.submit([bad, *events[at:]])
+        assert _state(service) == before
+        service.submit(events[at:])
+        clean = ChurnService(graph, backend=backend, batch_size=batch_size)
+        clean.submit(events)
+        assert service.coreness() == clean.coreness() \
+            == batagelj_zaversnik(_replayed(graph, events))
+        assert service.metrics == clean.metrics
+
+
+def _replayed(graph, events):
+    """The graph after ``events``, replayed on the object oracle."""
+    oracle = DynamicKCore(graph)
+    for event in events:
+        _apply_to_oracle(oracle, event)
+    return oracle.graph
+
+
+class TestSilentDecisionCounters:
+    """Guard skips and walk fallbacks are counted, not silent."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_guard_skips_on_a_hand_built_trace(self, backend):
+        flat = FlatDynamicKCore(gen.path_graph(5),
+                                backend=resolve_backend(backend))
+        applied = flat.apply_events([
+            ChurnEvent(0.0, "leave", (9,)),          # absent node: 1
+            ChurnEvent(1.0, "link", (0, 9)),         # absent endpoint: 1
+            ChurnEvent(2.0, "link", (0, 1)),         # existing edge: 1
+            ChurnEvent(3.0, "unlink", (0, 2)),       # non-edge: 1
+            ChurnEvent(4.0, "join", (10, 0, 8, 7)),  # two absent contacts
+            ChurnEvent(5.0, "link", (0, 2)),
+            ChurnEvent(6.0, "unlink", (0, 1)),
+            ChurnEvent(7.0, "leave", (4,)),
+            ChurnEvent(8.0, "unlink", (3, 4)),       # gone with node 4: 1
+        ])
+        assert applied == 5
+        assert flat.metrics["guard_skips"] == 7
+        assert flat.metrics["walk_fallbacks"] == 0
+        assert flat.verify()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_forced_fallbacks_are_counted(self, backend):
+        flat = FlatDynamicKCore(gen.cycle_graph(6),
+                                backend=resolve_backend(backend))
+        flat._WALK_BUDGET = 1
+        flat.apply_events([
+            _link(0, 3),                          # roots 0 and 3: trips
+            ChurnEvent(1.0, "join", (20, 1)),     # one viable root: fits
+            _link(1, 4),                          # roots 1 and 4: trips
+        ])
+        assert flat.metrics["walk_fallbacks"] == 2
+        assert flat.metrics["guard_skips"] == 0
+        assert flat.verify()
+        validate_extra(flat.metrics)
+
+    def test_streaming_build_span(self):
+        tracer = Tracer()
+        service = ChurnService(gen.path_graph(6), telemetry=tracer)
+        service.submit([_link(0, 5)])
+        service.flush()
+        (_lane, events), = tracer.buffers()
+        names = [ev[1] for ev in events]
+        assert names[0] == "streaming.build"
+        assert "churn.apply_batch" in names
